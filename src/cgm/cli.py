@@ -13,18 +13,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from . import regions as rg
-from .regions import classify, find_params_thm1, find_params_thm3, stilde_values, _AB_arrays
-from .scalars import Params
+from .regions import classify, find_params_thm1, find_params_thm3, radial_planes
+from .scalars import Params, scalar_curvature_spaceform
 from .verify import SUITES, run_suites
 
 MAX_GRID_CELLS = 10_000_000
@@ -56,15 +54,6 @@ def _fmt(v) -> str:
     return f"{float(v):.12g}"
 
 
-def _threads() -> int:
-    raw = os.environ.get("CGM_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        return 1
-    return max(k, 1)
-
-
 @dataclass(frozen=True)
 class ScanSpec:
     p_range: tuple
@@ -80,13 +69,6 @@ class ScanSpec:
     def axis(self, which: str) -> list:
         lo, hi, step = self.p_range if which == "p" else self.q_range
         return [lo + k * step for k in range(self.axis_count(which))]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    tol_scale: float = 1.0
-    threads: int = 1
 
 
 PREDICATES = ("gamma", "gamma_prime", "delta", "delta_prime", "scalar_sufficient", "vertical_positive")
@@ -111,22 +93,13 @@ def _cell_value(spec: ScanSpec, p: float, q: float) -> float:
     raise ValueError(spec.predicate)
 
 
-def run_scan(spec: ScanSpec, threads: int = 1) -> list[tuple[float, float, float]]:
+def run_scan(spec: ScanSpec) -> list[tuple[float, float, float]]:
     """Evaluate the scan grid in deterministic row-major order (p outer, q inner)."""
     if spec.axis_count("p") * spec.axis_count("q") > MAX_GRID_CELLS:
         raise ValueError("grid exceeds the 1e7 cell limit")
     p_vals = [float(v) for v in spec.axis("p")]
     q_vals = [float(v) for v in spec.axis("q")]
-
-    def row(p: float) -> list[tuple[float, float, float]]:
-        return [(p, q, _cell_value(spec, p, q)) for q in q_vals]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, p_vals))
-    else:
-        rows = [row(p) for p in p_vals]
-    return [cell for r in rows for cell in r]
+    return [(p, q, _cell_value(spec, p, q)) for p in p_vals for q in q_vals]
 
 
 def write_scan_csv(path: str, spec: ScanSpec, cells) -> None:
@@ -194,12 +167,11 @@ def cmd_classify(args) -> int:
 
 def cmd_scan(args) -> int:
     spec = ScanSpec(args.p_range, args.q_range, args.n, args.c, args.predicate)
-    config = RunConfig(threads=_threads())
     if spec.predicate in ("delta", "delta_prime", "scalar_sufficient") and spec.c is None:
         print("error: this predicate needs --c", file=sys.stderr)
         return 2
     try:
-        cells = run_scan(spec, config.threads)
+        cells = run_scan(spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -218,25 +190,20 @@ def cmd_curvature(args) -> int:
     params = Params(args.p, args.q)
     n, c = args.n, float(args.c)
     t_max = float(args.t_max)
-    q = float(args.q)
-    if q < 0 and t_max >= -1.0 / q:
-        t_max = (1 - 1e-6) * (-1.0 / q)
+    if t_max < 0:
+        print("error: --t-max must be >= 0", file=sys.stderr)
+        return 2
+    if not params.contains_t(t_max):
+        t_max = (1 - 1e-6) * (-1.0 / float(args.q))
         print(f"warning: t-max clipped to {t_max:.9g} (ball-bundle boundary)", file=sys.stderr)
     t = np.linspace(0.0, t_max, args.samples)
-    p = float(args.p)
-    w = 1.0 / (1.0 + t)
-    A, B = _AB_arrays(params, t)
-    k_hh = c - 0.75 * c * c * w**p * t
-    k_hv = 0.25 * c * c * w**p * t
-    k_vv_u = (1.0 + t) ** p * (A * t + B) / (1.0 + q * t)
-    k_vv_perp = (1.0 + t) ** p * B
-    k_vv_min = np.minimum(k_vv_u, k_vv_perp) if n >= 3 else k_vv_u
-    s = stilde_values(params, n, c, t)
+    fam = radial_planes(params, c, t)
+    k_vv_min = np.minimum(fam.vv_through, fam.vv_perp) if n >= 3 else fam.vv_through
+    s = scalar_curvature_spaceform(params, n, c, t)
     lines = ["t,K_hh_max_e,K_hv_max_e,K_vv_min,K_vv_U,scalar"]
     for i in range(t.size):
-        lines.append(
-            ",".join(_fmt(v) for v in (t[i], k_hh[i], k_hv[i], k_vv_min[i], k_vv_u[i], s[i]))
-        )
+        row = (t[i], fam.hh[i], fam.hv[i], k_vv_min[i], fam.vv_through[i], s[i])
+        lines.append(",".join(_fmt(v) for v in row))
     text = "\n".join(lines) + "\n"
     if args.csv:
         try:
@@ -273,9 +240,8 @@ def cmd_find_params(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = RunConfig(seed=args.seed, tol_scale=args.tol_scale, threads=_threads())
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    results = run_suites(names, seed=config.seed, tol_scale=config.tol_scale)
+    results = run_suites(names, seed=args.seed, tol_scale=args.tol_scale)
     for res in results:
         print(json.dumps(res.as_dict()))
     return 0 if all(r.ok for r in results) else 1

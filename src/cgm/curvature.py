@@ -11,6 +11,10 @@ Field-extension data (the covariant derivative of the second argument, the
 covariant derivative of the base curvature, and its coderivative) enter as
 caller-supplied values defaulting to zero, which reproduces evaluation in a
 normal frame.
+
+The metric and the curvature operator (``metric_h``, ``riemann``,
+``riemann_full``) broadcast over leading batch axes of the frame vectors when
+the base is a space form: components of shape (m, n) give m values at once.
 """
 
 from __future__ import annotations
@@ -31,6 +35,13 @@ from .scalars import (
 )
 
 ORTHO_TOL = 1e-10
+
+
+def _dot(U: np.ndarray, V: np.ndarray):
+    """<U, V> over the last axis: a scalar for two vectors, else shape (..., 1)."""
+    if U.ndim == 1 and V.ndim == 1:
+        return U @ V
+    return np.einsum("...i,...i->...", U, V)[..., None]
 
 
 @dataclass
@@ -100,7 +111,8 @@ class BaseCurvature:
     ``r_op(X, Y, Z)`` returns R(X,Y)Z.  ``nabla_op(W, X, Y, Z)`` returns
     (nabla_W R)(X,Y)Z and ``delta_op(X, e)`` the coderivative vector whose
     pairing with Y gives the horizontal-vertical Ricci; both vanish for space
-    forms and default to None for custom bases.
+    forms and default to None for custom bases.  The space-form operators
+    broadcast over leading batch axes.
     """
 
     kind: str
@@ -114,7 +126,7 @@ class BaseCurvature:
         c = float(c)
 
         def r_op(X, Y, Z):
-            return c * ((Y @ Z) * X - (X @ Z) * Y)
+            return c * (_dot(Y, Z) * X - _dot(X, Z) * Y)
 
         zero4 = lambda W, X, Y, Z: np.zeros_like(X)
         zero2 = lambda X, e: np.zeros_like(X)
@@ -147,18 +159,21 @@ class BaseCurvature:
 
 def _r_shape(X, Y, Z):
     """The curvature-type tensor r(X,Y)Z = <Y,Z>X - <X,Z>Y."""
-    return (Y @ Z) * X - (X @ Z) * Y
+    return _dot(Y, Z) * X - _dot(X, Z) * Y
 
 
-def metric_h(params: Params, e: FiberPoint, A: LiftVector, B: LiftVector) -> float:
-    """Pairing of two lifted vectors under h_{p,q} at the fibre point e."""
+def metric_h(params: Params, e: FiberPoint, A: LiftVector, B: LiftVector) -> float | np.ndarray:
+    """Pairing of two lifted vectors under h_{p,q} at the fibre point e.
+
+    A float for single vectors, an array over the batch axes for batches.
+    """
     check_fiber_radius(params, e.t)
     w = omega(e.t)
     q = float(params.q)
-    return float(
-        A.h @ B.h
-        + w ** float(params.p) * (A.v @ B.v + q * (A.v @ e.e) * (B.v @ e.e))
+    val = _dot(A.h, B.h) + w ** float(params.p) * (
+        _dot(A.v, B.v) + q * _dot(A.v, e.e) * _dot(B.v, e.e)
     )
+    return float(val) if np.ndim(val) == 0 else val[..., 0]
 
 
 def connection(
@@ -210,7 +225,8 @@ def riemann(
     """Curvature operator value R~(X^a, Y^b)Z^c for the named lift-type case.
 
     Cases: hhh, hhv, hvh, hvv, vvh, vvv; the first two letters give the lift
-    types of X and Y, the last that of Z.
+    types of X and Y, the last that of Z.  X, Y, Z may carry leading batch
+    axes when the base operators broadcast (space forms).
     """
     check_fiber_radius(params, e.t)
     X = np.asarray(X, dtype=float)
@@ -235,8 +251,8 @@ def riemann(
         ver = (
             R(X, Y, Z)
             + 0.25 * wp * (R(Y, R(ev, Z, X), ev) - R(X, R(ev, Z, Y), ev))
-            - p * w * (Z @ ev) * rxye
-            + (p * w + q) * wq * (rxye @ Z) * ev
+            - p * w * _dot(Z, ev) * rxye
+            + (p * w + q) * wq * _dot(rxye, Z) * ev
         )
         return LiftVector(hor, ver)
     if case == "hvh":
@@ -244,14 +260,14 @@ def riemann(
         rxze = R(X, Z, ev)
         ver = (
             -0.25 * wp * R(X, R(ev, Y, Z), ev)
-            - 0.5 * p * w * (Y @ ev) * rxze
+            - 0.5 * p * w * _dot(Y, ev) * rxze
             + 0.5 * R(X, Z, Y)
-            + 0.5 * (p * w + q) * wq * (rxze @ Y) * ev
+            + 0.5 * (p * w + q) * wq * _dot(rxze, Y) * ev
         )
         return LiftVector(hor, ver)
     if case == "hvv":
         hor = (
-            0.5 * p * w ** (p + 1) * ((Y @ ev) * R(ev, Z, X) - (Z @ ev) * R(ev, Y, X))
+            0.5 * p * w ** (p + 1) * (_dot(Y, ev) * R(ev, Z, X) - _dot(Z, ev) * R(ev, Y, X))
             - 0.5 * wp * R(Y, Z, X)
             - 0.25 * w ** (2 * p) * R(ev, Y, R(ev, Z, X))
         )
@@ -259,7 +275,7 @@ def riemann(
     if case == "vvh":
         hor = (
             wp * R(X, Y, Z)
-            + p * w ** (p + 1) * ((Y @ ev) * R(ev, X, Z) - (X @ ev) * R(ev, Y, Z))
+            + p * w ** (p + 1) * (_dot(Y, ev) * R(ev, X, Z) - _dot(X, ev) * R(ev, Y, Z))
             + 0.25
             * w ** (2 * p)
             * (R(ev, X, R(ev, Y, Z)) - R(ev, Y, R(ev, X, Z)))
@@ -268,9 +284,9 @@ def riemann(
     if case == "vvv":
         cs = coefficients(params, e.t, 2)
         ver = (
-            cs.A * (Z @ ev) * _r_shape(X, Y, ev)
+            cs.A * _dot(Z, ev) * _r_shape(X, Y, ev)
             + cs.B * _r_shape(X, Y, Z)
-            + cs.C * (_r_shape(X, Y, Z) @ ev) * ev
+            + cs.C * _dot(_r_shape(X, Y, Z), ev) * ev
         )
         return LiftVector(np.zeros_like(X), ver)
     raise ValueError(f"unknown riemann case {case!r}")
@@ -284,7 +300,10 @@ def riemann_full(
     C: LiftVector,
     base: BaseCurvature,
 ) -> LiftVector:
-    """R~(A, B)C for arbitrary lifted vectors, assembled from the six cases."""
+    """R~(A, B)C for arbitrary lifted vectors, assembled from the six cases.
+
+    Broadcasts over leading batch axes of the components (space-form base).
+    """
     n = e.n
     out = LiftVector(np.zeros(n), np.zeros(n))
     for cpart, ctag in ((C.h, "h"), (C.v, "v")):
@@ -464,97 +483,10 @@ def sectional_batch_spaceform(
     """Sectional curvatures of m arbitrary planes span(A_k, B_k), space-form base.
 
     The inputs are (m, n) arrays of horizontal and vertical components; the
-    result is an (m,) array.  Mirrors :func:`sectional_plane` restricted to
-    R = c*r, vectorized over the batch axis.
+    result is an (m,) array: :func:`sectional_plane` over the batch axis.
     """
-    check_fiber_radius(params, e.t)
-    p, q = float(params.p), float(params.q)
-    c = float(c)
-    w = omega(e.t)
-    wq = omega_q(e.t, params)
-    wp = w**p
-    ev = e.e
-
-    EV = np.broadcast_to(ev, Ah.shape)
-
-    def dot(U, V):
-        return np.einsum("...i,...i->...", U, V)
-
-    def dote(U):
-        return U @ ev
-
-    def R(X, Y, Z):
-        # rows: c*( <Y,Z> X - <X,Z> Y )
-        return c * (dot(Y, Z)[..., None] * X - dot(X, Z)[..., None] * Y)
-
-    def Re(X, Y):
-        # R(e, X)Y = c*( <X,Y> e - <e,Y> X )
-        return c * (dot(X, Y)[..., None] * ev[None, :] - dote(Y)[..., None] * X)
-
-    cs = coefficients(params, e.t, 2)
-
-    def rtilde(A_h, A_v, B_h, B_v, C_h, C_v):
-        """R~(A,B)C componentwise over the batch; returns (H, V)."""
-        H = np.zeros_like(A_h)
-        V = np.zeros_like(A_h)
-        for Ch, Cv, ctag in ((C_h, None, "h"), (None, C_v, "v")):
-            if ctag == "h":
-                Z = Ch
-                # (h,h,h)
-                X, Y = A_h, B_h
-                H += R(X, Y, Z) - 0.25 * wp * (
-                    Re(R(Y, Z, EV), X) - Re(R(X, Z, EV), Y) - 2 * Re(R(X, Y, EV), Z)
-                )
-                # (h,v,h) and -(h,v,h) swapped
-                for sign, X, Y in ((1.0, A_h, B_v), (-1.0, B_h, A_v)):
-                    rxze = R(X, Z, EV)
-                    V += sign * (
-                        -0.25 * wp * R(X, Re(Y, Z), EV)
-                        - 0.5 * p * w * dote(Y)[:, None] * rxze
-                        + 0.5 * R(X, Z, Y)
-                        + 0.5 * (p * w + q) * wq * dot(rxze, Y)[:, None] * ev[None, :]
-                    )
-                # (v,v,h)
-                X, Y = A_v, B_v
-                H += (
-                    wp * R(X, Y, Z)
-                    + p * w ** (p + 1) * (dote(Y)[:, None] * Re(X, Z) - dote(X)[:, None] * Re(Y, Z))
-                    + 0.25 * w ** (2 * p) * (Re(X, Re(Y, Z)) - Re(Y, Re(X, Z)))
-                )
-            else:
-                Z = Cv
-                # (h,h,v)
-                X, Y = A_h, B_h
-                rxye = R(X, Y, EV)
-                V += (
-                    R(X, Y, Z)
-                    + 0.25 * wp * (R(Y, Re(Z, X), EV) - R(X, Re(Z, Y), EV))
-                    - p * w * dote(Z)[:, None] * rxye
-                    + (p * w + q) * wq * dot(rxye, Z)[:, None] * ev[None, :]
-                )
-                # (h,v,v) and swap
-                for sign, X, Y in ((1.0, A_h, B_v), (-1.0, B_h, A_v)):
-                    H += sign * (
-                        0.5 * p * w ** (p + 1) * (dote(Y)[:, None] * Re(Z, X) - dote(Z)[:, None] * Re(Y, X))
-                        - 0.5 * wp * R(Y, Z, X)
-                        - 0.25 * w ** (2 * p) * Re(Y, Re(Z, X))
-                    )
-                # (v,v,v)
-                X, Y = A_v, B_v
-                rxyz = dot(Y, Z)[:, None] * X - dot(X, Z)[:, None] * Y
-                rxye_s = dote(Y)[:, None] * X - dote(X)[:, None] * Y
-                V += (
-                    cs.A * dote(Z)[:, None] * rxye_s
-                    + cs.B * rxyz
-                    + cs.C * dote(rxyz)[:, None] * ev[None, :]
-                )
-        return H, V
-
-    RH, RV = rtilde(Ah, Av, Bh, Bv, Bh, Bv)
-
-    def pair(Uh, Uv, Vh, Vv):
-        return dot(Uh, Vh) + wp * (dot(Uv, Vv) + q * dote(Uv) * dote(Vv))
-
-    num = pair(RH, RV, Ah, Av)
-    gram = pair(Ah, Av, Ah, Av) * pair(Bh, Bv, Bh, Bv) - pair(Ah, Av, Bh, Bv) ** 2
+    base = BaseCurvature.space_form(c)
+    A, B = LiftVector(Ah, Av), LiftVector(Bh, Bv)
+    num = metric_h(params, e, riemann_full(params, e, A, B, B, base), A)
+    gram = metric_h(params, e, A, A) * metric_h(params, e, B, B) - metric_h(params, e, A, B) ** 2
     return num / gram

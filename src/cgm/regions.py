@@ -17,21 +17,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .scalars import (
     Params,
     analysis_scalars,
+    coefficients,
     hyperbola_lambda,
     hyperbola_nu,
     mu,
     multipliers,
+    omega,
     poly_C,
     poly_G,
     poly_P,
     poly_Q,
+    scalar_curvature_spaceform,
 )
 
 Number = Union[int, float, Fraction]
@@ -268,22 +271,10 @@ def _t_grid(params: Params, points: int = 10000, cap: float = 1e6) -> np.ndarray
     return np.unique(np.concatenate([low, near]))
 
 
-def stilde_values(params: Params, n: int, c: Number, t: np.ndarray) -> np.ndarray:
-    """Vectorized scalar curvature of h_{p,q} over a curvature-c space form."""
-    p, q = float(params.p), float(params.q)
-    cf = float(c)
-    cpoly = np.array(poly_C(params, n).as_floats())
-    t = np.asarray(t, dtype=float)
-    cval = np.polyval(cpoly[::-1], t)
-    phi = (1 + t) ** (p - 2) * (1 + q * t) ** (-2) * cval
-    f = t / (1 + t) ** p
-    return (n - 1) * (n * cf - 0.5 * cf * cf * f + phi)
-
-
 def scalar_grid_min(
     params: Params, n: int, c: Number, points: int = 10000, cap: float = 1e6
 ) -> float:
-    return float(stilde_values(params, n, c, _t_grid(params, points, cap)).min())
+    return float(scalar_curvature_spaceform(params, n, c, _t_grid(params, points, cap)).min())
 
 
 def _tail_limit(params: Params, n: int, c: Number) -> float:
@@ -362,68 +353,66 @@ def scalar_positivity_interval(
 
 
 # ---------------------------------------------------------------------------
-# brute-force vertical-plane oracle
+# radial plane families and the sectional-curvature minima (space forms)
 
 
-def _AB_arrays(params: Params, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p, q = float(params.p), float(params.q)
-    w = 1.0 / (1.0 + t)
-    wq = 1.0 / (1.0 + q * t)
-    A = p * w * wq * ((p + 2 * q - 2) * w - q)
-    B = wq * (p * p * w * w - p * (p - 2) * w + q)
-    return A, B
+class RadialPlanes(NamedTuple):
+    """Sectional curvatures of the radial lifted-plane families at radii t.
 
-
-def _vertical_samples(
-    params: Params, n: int, samples: int, seed: int, cap: float = 1e3
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic (t, u) samples: u = <X,e>^2 + <Y,e>^2 over random planes.
-
-    Radii are log-distributed (plus the zero section and, for q < 0, a
-    boundary-concentrated band); each radius contributes the plane through
-    the radial direction, the plane orthogonal to it (n >= 3) and a uniformly
-    random plane.
+    ``hh``: horizontal plane containing the radial direction; ``hv``: radial
+    horizontal against a vertical direction orthogonal to the fibre point;
+    ``vv_through``: vertical plane containing the canonical vector (u = t);
+    ``vv_perp``: vertical plane orthogonal to it (u = 0, n >= 3 only).
     """
+
+    hh: np.ndarray
+    hv: np.ndarray
+    vv_through: np.ndarray
+    vv_perp: np.ndarray
+
+
+def radial_planes(params: Params, c: float, t: np.ndarray) -> RadialPlanes:
+    """The radial plane families over a curvature-c space form, at radii t."""
+    p, q = float(params.p), float(params.q)
+    cs = coefficients(params, t, 2)
+    w = omega(t)
+    return RadialPlanes(
+        hh=c - 0.75 * c * c * w**p * t,
+        hv=0.25 * c * c * w**p * t,
+        vv_through=(1.0 + t) ** p * (cs.A * t + cs.B) / (1.0 + q * t),
+        vv_perp=(1.0 + t) ** p * cs.B,
+    )
+
+
+def vertical_curvature_minimum(
+    params: Params, n: int, samples: int = 10000, seed: int = 0
+) -> float:
+    """Minimum sectional curvature of vertical 2-planes over sampled radii.
+
+    A vertical plane at radius t has curvature (1+t)^p (A u + B)/(1 + q u),
+    where u in [0, t] is the squared length of the fibre point's projection
+    onto it (u = t for every plane when n = 2).  Its u-derivative is
+    C / (omega_q (1 + q u)^2) with C of fixed sign, so the minimum over the
+    planes at t is at u = 0 or u = t and no plane between them is needed.
+    Radii are log-distributed (plus the zero section and, for q < 0, a
+    boundary-concentrated band), drawn from ``seed``.
+    """
+    if samples < 1:
+        raise ValueError("samples >= 1 required")
     rng = np.random.default_rng(seed)
     q = float(params.q)
     m = max(samples, 2)
     if q >= 0:
-        t = np.exp(rng.uniform(math.log(1e-9), math.log(cap), m))
+        t = np.exp(rng.uniform(math.log(1e-9), math.log(1e3), m))
     else:
         tb = -1.0 / q
         k = m // 2
         t_low = np.exp(rng.uniform(math.log(1e-9), math.log(tb * 0.9), k))
         t_near = tb * (1.0 - 10.0 ** rng.uniform(-6, -0.05, m - k))
         t = np.concatenate([t_low, t_near])
-    t = np.concatenate([[0.0], t])
-
-    g = rng.standard_normal((t.size, 2, n))
-    x1 = g[:, 0] / np.linalg.norm(g[:, 0], axis=1, keepdims=True)
-    y = g[:, 1] - np.einsum("mi,mi->m", g[:, 1], x1)[:, None] * x1
-    y /= np.linalg.norm(y, axis=1, keepdims=True)
-    ehat = np.zeros(n)
-    ehat[0] = 1.0
-    u_rand = t * ((x1 @ ehat) ** 2 + (y @ ehat) ** 2)
-
-    ts = [t, t]
-    us = [u_rand, t]  # random plane; plane containing the radial direction
-    if n >= 3:
-        ts.append(t)
-        us.append(np.zeros_like(t))  # plane orthogonal to the fibre point
-    return np.concatenate(ts), np.concatenate(us)
-
-
-def vertical_curvature_minimum(
-    params: Params, n: int, samples: int = 10000, seed: int = 0
-) -> float:
-    """Minimum sampled sectional curvature of vertical 2-planes."""
-    if samples < 1:
-        raise ValueError("samples >= 1 required")
-    t, u = _vertical_samples(params, n, samples, seed)
-    A, B = _AB_arrays(params, t)
-    p, q = float(params.p), float(params.q)
-    k = (1.0 + t) ** p * (A * u + B) / (1.0 + q * u)
-    return float(k.min())
+    fam = radial_planes(params, 0.0, np.concatenate([[0.0], t]))
+    k = fam.vv_through.min()
+    return float(min(k, fam.vv_perp.min()) if n >= 3 else k)
 
 
 def brute_force_vertical_positivity(
@@ -431,10 +420,6 @@ def brute_force_vertical_positivity(
 ) -> bool:
     """Sampled check that every vertical 2-plane has positive sectional curvature."""
     return vertical_curvature_minimum(params, n, samples, seed) > 0.0
-
-
-# ---------------------------------------------------------------------------
-# structured sectional-curvature witness search (space forms)
 
 
 def _quadratic_sign_probes(coeffs: tuple, t_hi: float) -> list:
@@ -456,29 +441,21 @@ def _quadratic_sign_probes(coeffs: tuple, t_hi: float) -> list:
     return [t for t in probes if 0 < t <= t_hi and math.isfinite(t)]
 
 
-def sectional_witness_min(
-    params: Params,
-    n: int,
-    c: Number,
-    n_random: int = 1000,
-    seed: int = 0,
-    t_count: int = 48,
-    include_mixed: bool = False,
-) -> float:
-    """Minimum sectional curvature over lifted-plane families at sampled radii.
+def sectional_witness_min(params: Params, n: int, c: Number, t_count: int = 48) -> float:
+    """Minimum sectional curvature over the lifted-plane families at sampled radii.
 
-    Structured families along the fibre radius: horizontal planes containing
-    the radial direction, vertizontal planes, vertical planes containing the
-    canonical vector and orthogonal to it; radii include the critical points
-    of f, P and Q.  Random planes are drawn within the three lifted families
-    (random orthonormal base pairs), which is the scope of the K >= 0
-    characterization.  ``include_mixed`` additionally probes fully general
-    2-planes of the total space; those can be negative even where every
-    lifted plane is nonnegative (e.g. (p,q)=(1.108,0), n=2, c=1 near the zero
-    section, confirmed by finite differences), so the default excludes them.
+    The families are those of :func:`radial_planes`; radii include the
+    critical points of f, P and Q and, for q >= 0, the sign probes of P and Q
+    at any radius.  They bound every lifted plane spanned by an orthonormal
+    base pair (X, Y), which is the scope of the K >= 0 characterization: with
+    u = <X,e>^2 + <Y,e>^2 <= t, a horizontal plane has c - (3/4) c^2 u/(1+t)^p
+    >= the u = t value, a vertizontal plane a nonnegative value (0 at t = 0),
+    and a vertical plane lies between its u = 0 and u = t values, since
+    d/du (A u + B)/(1 + q u) = C / (omega_q (1 + q u)^2) has a fixed sign.
+    Fully general 2-planes of the total space can be negative even where
+    every lifted plane is nonnegative (e.g. (p,q)=(1.108,0), n=2, c=1 near
+    the zero section, confirmed by finite differences); they are not probed.
     """
-    from .curvature import FiberPoint, sectional_batch_spaceform
-
     p, q = float(params.p), float(params.q)
     cf = float(c)
     t_hi = 1e3 if q >= 0 else -1.0 / q * (1 - 2e-9)
@@ -490,57 +467,21 @@ def sectional_witness_min(
     for crit in (1.0 / (p - 1.0) if p > 1 else None, an.t0, an.s0):
         if crit is not None and 0 < crit < t_hi:
             t_vals.append(crit)
-    # scale-free sign probes: one point in every sign region of P and Q
+    # scale-free sign probes: one point in every sign region of P and Q; the
+    # fibre is unbounded for q >= 0, so those probes are not clipped to t_hi
+    probe_hi = math.inf if q >= 0 else t_hi
     for poly in (poly_P(params), poly_Q(params)):
-        t_vals += _quadratic_sign_probes(poly.as_floats(), t_hi)
-    t_arr = np.array(sorted({t for t in t_vals if 0 <= t <= t_hi}))
+        t_vals += _quadratic_sign_probes(poly.as_floats(), probe_hi)
+    fam = radial_planes(params, cf, np.array(sorted({t for t in t_vals if 0 <= t <= probe_hi})))
 
-    # closed-form families
-    A, B = _AB_arrays(params, t_arr)
-    w = 1.0 / (1.0 + t_arr)
-    mins = []
-    # horizontal plane containing the radial direction; its infimum over an
-    # unbounded radius range is analytic (sup f = 1/mu for p >= 1, else inf)
-    mins.append((cf - 0.75 * cf * cf * w**p * t_arr).min())
+    mins = [fam.hh.min(), fam.hv.min(), fam.vv_through.min()]
+    # the infimum of the horizontal family over an unbounded radius range is
+    # analytic (sup f = 1/mu for p >= 1, else inf)
     if q >= 0 and cf != 0:
         sup_f = math.inf if p < 1 else 1.0 / float(mu(p))
         mins.append(cf - 0.75 * cf * cf * sup_f)
-    # vertizontal planes (radial horizontal against the two vertical types)
-    mins.append((0.25 * cf * cf * w**p * t_arr / (1.0 + q * t_arr)).min())
-    mins.append((0.25 * cf * cf * w**p * t_arr).min())
-    # vertical planes through / orthogonal to the canonical vector
-    kv_u = (1.0 + t_arr) ** p * (A * t_arr + B) / (1.0 + q * t_arr)
-    mins.append(kv_u.min())
     if n >= 3:
-        mins.append(((1.0 + t_arr) ** p * B).min())
-
-    if n_random > 0:
-        rng = np.random.default_rng(seed)
-        m = n_random
-        ts = t_arr[rng.integers(0, t_arr.size, size=m)]
-        g1 = rng.standard_normal((m, n))
-        g2 = rng.standard_normal((m, n))
-        X = g1 / np.linalg.norm(g1, axis=1, keepdims=True)
-        Y = g2 - np.einsum("mi,mi->m", g2, X)[:, None] * X
-        Y /= np.linalg.norm(Y, axis=1, keepdims=True)
-        x2 = ts * X[:, 0] ** 2
-        y2 = ts * Y[:, 0] ** 2
-        u = x2 + y2
-        wr = 1.0 / (1.0 + ts)
-        Ar, Br = _AB_arrays(params, ts)
-        mins.append((cf - 0.75 * cf * cf * wr**p * u).min())
-        mins.append((0.25 * cf * cf * wr**p * x2 / (1.0 + q * y2)).min())
-        mins.append(((1.0 + ts) ** p * (Ar * u + Br) / (1.0 + q * u)).min())
-        if include_mixed:
-            t_sub = t_arr[rng.integers(0, t_arr.size, size=min(8, t_arr.size))]
-            per = max(n_random // max(len(t_sub), 1), 1)
-            for tv in t_sub:
-                e = FiberPoint.radial(float(tv), n)
-                raw = rng.standard_normal((per, 4, n))
-                k = sectional_batch_spaceform(
-                    params, cf, e, raw[:, 0], raw[:, 1], raw[:, 2], raw[:, 3]
-                )
-                mins.append(k.min())
+        mins.append(fam.vv_perp.min())
     return float(min(mins))
 
 

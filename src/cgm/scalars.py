@@ -6,6 +6,10 @@ base curvature c: weight functions, the curvature coefficients A, B, C and the
 Ricci coefficients alpha, beta, the sign-controlling polynomials P, Q, C, G,
 and the auxiliary functions mu, lambda, nu and the case multipliers m1..m5.
 
+The weights, the coefficients, phi and the scalar curvature also accept a
+numpy array of radii and evaluate elementwise, in the same order of
+operations as for a scalar radius.
+
 Polynomial coefficients are expanded in exact rational arithmetic whenever the
 inputs are rational (int / Fraction); float inputs propagate as floats.  Sign
 decisions made downstream (coefficient-positivity searches, region boundaries)
@@ -19,7 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
+import numpy as np
+
 Number = Union[int, float, Fraction]
+#: Radii t = |e|^2: a scalar, or a float array evaluated elementwise.
+Radius = Union[Number, np.ndarray]
 
 #: Evaluations require q*t > -1 + EPS_DOM; closer approaches to the singular
 #: sphere-bundle boundary must go through the explicit limit formulas.
@@ -59,41 +67,58 @@ class Params:
         return t >= 0 and float(self.q) * float(t) > -1.0 + EPS_DOM
 
 
-def check_fiber_radius(params: Params, t: Number) -> None:
-    if t < 0:
-        raise DomainError(f"t = {t} must be non-negative")
-    if not params.contains_t(t):
+def _radius(t: Radius) -> Radius:
+    """A scalar radius as a float; an array of radii as it is."""
+    return t if isinstance(t, np.ndarray) else float(t)
+
+
+def _extremes(t: Radius) -> tuple:
+    """Smallest and largest of the radii (both t itself for a scalar)."""
+    if isinstance(t, np.ndarray):
+        return t.min(initial=0.0), t.max(initial=0.0)
+    return t, t
+
+
+def check_fiber_radius(params: Params, t: Radius) -> None:
+    lo, hi = _extremes(t)
+    if lo < 0:
+        raise DomainError(f"t = {lo} must be non-negative")
+    if not params.contains_t(hi):
         raise DomainError(
-            f"q*t = {float(params.q) * float(t)} <= -1 + {EPS_DOM}: outside the ball bundle"
+            f"q*t = {float(params.q) * float(hi)} <= -1 + {EPS_DOM}: outside the ball bundle"
         )
 
 
-def omega(t: Number) -> float:
+def omega(t: Radius) -> Radius:
     """Radial weight 1/(1 + t) for t = |e|^2 >= 0."""
-    if t < 0:
-        raise DomainError(f"t = {t} must be non-negative")
-    return 1.0 / (1.0 + float(t))
+    lo = _extremes(t)[0]
+    if lo < 0:
+        raise DomainError(f"t = {lo} must be non-negative")
+    return 1.0 / (1.0 + _radius(t))
 
 
-def omega_q(t: Number, params: Params) -> float:
+def omega_q(t: Radius, params: Params) -> Radius:
     """Deformed weight 1/(1 + q t), positive on the ball bundle."""
     check_fiber_radius(params, t)
-    return 1.0 / (1.0 + float(params.q) * float(t))
+    return 1.0 / (1.0 + float(params.q) * _radius(t))
 
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Vertical curvature coefficients A, B, C and Ricci coefficients alpha, beta."""
+    """Vertical curvature coefficients A, B, C and Ricci coefficients alpha, beta.
 
-    A: float
-    B: float
-    C: float
-    alpha: float
-    beta: float
+    Floats for a scalar radius, arrays over the radii for an array of radii.
+    """
+
+    A: Radius
+    B: Radius
+    C: Radius
+    alpha: Radius
+    beta: Radius
 
 
-def coefficients(params: Params, t: Number, n: int) -> CoefficientSet:
-    """Evaluate A, B, C, alpha, beta at squared fibre radius t.
+def coefficients(params: Params, t: Radius, n: int) -> CoefficientSet:
+    """Evaluate A, B, C, alpha, beta at squared fibre radius t (scalar or array).
 
     A, B, C weight the three tensor shapes of the purely vertical curvature.
     alpha and beta are the base-curvature-independent parts of the vertical
@@ -109,7 +134,7 @@ def coefficients(params: Params, t: Number, n: int) -> CoefficientSet:
     A = p * w * wq * ((p + 2 * q - 2) * w - q)
     B = wq * (p * p * w * w - p * (p - 2) * w + q)
     C = wq * wq * (p * (p - 2) * (1 - q) * w * w + p * q * (p - 3) * w - q * q)
-    alpha = float(t) * wq * A + (n - 2 + wq) * B
+    alpha = _radius(t) * wq * A + (n - 2 + wq) * B
     beta = (n - 1 - wq) * A + q * wq * B
     return CoefficientSet(A, B, C, alpha, beta)
 
@@ -254,7 +279,10 @@ def mu(p: Number) -> Number:
         ip = int(p)
         return Fraction(ip**ip, (ip - 1) ** (ip - 1))
     fp = float(p)
-    return fp**fp / (fp - 1) ** (fp - 1)
+    try:
+        return fp**fp / (fp - 1) ** (fp - 1)
+    except OverflowError:  # p >~ 143; mu itself stays near e*p
+        return fp * math.exp((fp - 1) * math.log1p(1 / (fp - 1)))
 
 
 def hyperbola_lambda(p: Number) -> Number:
@@ -364,17 +392,17 @@ def f_sup(params: Params) -> FSup:
     return FSup(f_value(min(-1.0 / q, 1e15), p), False, None)
 
 
-def phi(params: Params, n: int, t) -> float:
+def phi(params: Params, n: int, t: Radius) -> Radius:
     """(1+t)^(p-2) (1+qt)^(-2) C(t), the fibre contribution to the scalar curvature."""
     p, q = float(params.p), float(params.q)
     cpoly = poly_C(params, n)
     return (1.0 + t) ** (p - 2) * (1.0 + q * t) ** (-2) * cpoly.evaluate(t)
 
 
-def scalar_curvature_spaceform(params: Params, n: int, c: Number, t: Number) -> float:
-    """Scalar curvature of h_{p,q} over a curvature-c space form at radius t."""
+def scalar_curvature_spaceform(params: Params, n: int, c: Number, t: Radius) -> Radius:
+    """Scalar curvature of h_{p,q} over a curvature-c space form at radius t (scalar or array)."""
     if n < 2:
         raise ValueError("n >= 2 required")
     check_fiber_radius(params, t)
-    c, t = float(c), float(t)
+    c, t = float(c), _radius(t)
     return (n - 1) * (n * c - 0.5 * c * c * f_value(t, float(params.p)) + phi(params, n, t))

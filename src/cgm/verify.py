@@ -419,7 +419,7 @@ def suite_regions(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]:
             for p, q in pts:
                 params = Params(p, q)
                 verdict = rg.nonneg_sectional(params, n, c)
-                m = rg.sectional_witness_min(params, n, float(c), n_random=1000, seed=seed)
+                m = rg.sectional_witness_min(params, n, float(c))
                 if verdict and m < -1e-9 * tol_scale:
                     bad.append(("sound", n, float(c), round(p, 3), round(q, 3), m))
                 if not verdict and 2 * p + q >= 0 and m >= -1e-9:

@@ -98,7 +98,7 @@ def test_criterion_3_region_equivalence():
             for p, q in pts:
                 params = Params(p, q)
                 verdict = rg.nonneg_sectional(params, n, c)
-                m = rg.sectional_witness_min(params, n, float(c), n_random=1000, seed=0)
+                m = rg.sectional_witness_min(params, n, float(c))
                 if verdict and m < -1e-9:
                     witness_bad.append(("sound", n, float(c), p, q, m))
                 if not verdict and 2 * p + q >= 0 and m >= -1e-9:

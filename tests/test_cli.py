@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import subprocess
@@ -188,6 +189,12 @@ class TestCurvatureCommand:
         rows = self.header_and_rows(out)
         assert abs(float(rows[-1][3]) - 4.0) < 1e-3  # K_vv (orthogonal) -> mu(2)
 
+    def test_negative_t_max_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "curvature", "--p", "1", "--q", "1", "--n", "3", "--c", "1", "--t-max=-1",
+        )
+        assert code == 2 and out == "" and "--t-max" in err
+
     def test_csv_output(self, tmp_path, capsys):
         path = tmp_path / "curv.csv"
         code, _, _ = run_cli(
@@ -212,12 +219,60 @@ class TestFindParamsCommand:
         payload = last_json(out)
         assert (payload["p"], payload["q"]) == (2.0, -1.0)
 
+    def test_large_p_route_exit_0(self, capsys):
+        # mu(p) for p past ~143 used to overflow the float path
+        code, out, _ = run_cli(capsys, "find-params", "--n", "3", "--c", "-100")
+        assert code == 0
+        payload = last_json(out)
+        assert payload["p"] > 143 and payload["min_scalar_on_grid"] > 0
+
     def test_nonneg_route(self, capsys):
         code, out, _ = run_cli(capsys, "find-params", "--n", "3", "--c", "-1", "--nonneg-q")
         assert code == 0
         payload = last_json(out)
         assert payload["q"] >= 0
         assert all(v > 0 for v in payload["G_coefficients"])
+
+
+class TestByteIdentity:
+    """sha256 of the bytes the CLI writes, for fixed flags.
+
+    The digests pin the CSV/SVG bytes of every scan predicate and of the
+    curvature profile; a refactor that changes any value or format fails here.
+    """
+
+    GRID = ("--p-range=-3:3:1/4", "--q-range=-2:2:1/4", "--n", "3")
+    SCANS = {
+        "gamma": ((), "184e85feeead2f2c4472761c99816990a8403847751a2799c4e62286d83db6ad"),
+        "gamma_prime": ((), "ef24de12875ab47f4f056df11ab14ce62673d3d0eafa42f9dc9d6d7f43d2b41d"),
+        "vertical_positive": ((), "ac12daa35901ddacb1d39194fe4637206a94014ccd6cf87184d4b85625c3edfd"),
+        "delta": (("--c", "16/3"), "9ad018596b7349f8aa310856a4156cec7dba33cc3c6e5011970f4a6dee423293"),
+        "delta_prime": (("--c", "16/3"), "484e9fe7fe482f5a2e6591912a223085c644777bf6c3ab214c45fe7d40226b06"),
+        "scalar_sufficient": (("--c", "1"), "ae82ddccfbbc8d6e12348c87e32b5ae37276f078bf2990b91ac626f7aea7f796"),
+    }
+    CURVATURE = [
+        (("--p", "1", "--q", "1", "--n", "3", "--c", "1", "--samples", "50"),
+         "a02a2a67645d475c6439c8b772709e564debe5540a24d13619c27d74c3525d10"),
+        (("--p", "2", "--q=-1/2", "--n", "2", "--c", "16/3", "--t-max", "5", "--samples", "60"),
+         "1ace6480cb100ab8f9cd35b0f846d9aedd4e00a37eca8aff9e8df0de01f0c817"),
+    ]
+
+    @pytest.mark.parametrize("predicate", list(SCANS))
+    def test_scan_digest(self, predicate, tmp_path, capsys):
+        extra, digest = self.SCANS[predicate]
+        csv, svg = tmp_path / "s.csv", tmp_path / "s.svg"
+        code, _, _ = run_cli(
+            capsys, "scan", *self.GRID, *extra, "--predicate", predicate,
+            "--csv", str(csv), "--svg", str(svg),
+        )
+        assert code == 0
+        assert hashlib.sha256(csv.read_bytes() + svg.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("flags, digest", CURVATURE, ids=["h11_n3", "ball_bundle_n2"])
+    def test_curvature_digest(self, flags, digest, capsys):
+        code, out, _ = run_cli(capsys, "curvature", *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestVerifyCommand:

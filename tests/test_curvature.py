@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cgm import oracle as oc
 from cgm.scalars import Params, mu, phi, scalar_curvature_spaceform
 from cgm.curvature import (
     BaseCurvature,
@@ -220,6 +221,40 @@ class TestAssembledTensor:
                 params, e, LiftVector(raw[i, 0], raw[i, 1]), LiftVector(raw[i, 2], raw[i, 3]), base
             )
             assert_allclose(batch[i], one, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "p, q, n, c, t",
+        [(2, -1, 2, 1.0, 0.3), (1, 1, 3, -1.0, 0.49)],
+        ids=["n2_q_negative", "n3_q_positive"],
+    )
+    def test_batch_mixed_planes_match_finite_differences(self, p, q, n, c, t):
+        # general planes span(A, B) of the total space, against the oracle's
+        # finite-difference Riemann tensor at its sectional tolerance
+        params = Params(p, q)
+        chart = oc.Chart.space_form(n, c)
+        x = np.array([0.12, -0.07, 0.05][:n])
+        g = chart.metric(x)
+        d = np.array([0.3, 1.0, -0.2][:n])
+        pt = oc.TMPoint(x, math.sqrt(t) * d / math.sqrt(float(d @ g @ d)))
+        frame = oc.base_frame(g, pt.u)
+        e = FiberPoint(np.array([float(pt.u @ g @ frame[i]) for i in range(n)]))
+        gam0 = oc.fd_christoffel(chart.metric, pt.x)
+
+        def coords(h, v):
+            hor, ver = h @ frame, v @ frame
+            return np.concatenate([hor, ver - np.einsum("kij,i,j->k", gam0, hor, pt.u)])
+
+        h_field = oc.tm_metric_field(params, chart)
+        H = h_field(pt.coords())
+        R = oc.fd_riemann(h_field, pt.coords())
+        raw = np.random.default_rng(5).standard_normal((4, 8, n))
+        batch = sectional_batch_spaceform(params, c, e, *raw)
+        report = oc.ComparisonReport()
+        for k in range(raw.shape[1]):
+            A, B = coords(raw[0, k], raw[1, k]), coords(raw[2, k], raw[3, k])
+            numeric = oc.numeric_sectional(R, H, A, B)
+            report.add(f"mixed_{k}", float(batch[k]), numeric, oc.DEFAULT_TOLERANCES["sectional"])
+        assert report.passed, [(r.closed_form, r.numeric, r.rel_err) for r in report.failures()]
 
     def test_ricci_is_sectional_sum_over_completion(self):
         for n in (2, 3):

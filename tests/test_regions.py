@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from cgm.curvature import BaseCurvature, FiberPoint, LiftVector, sectional_plane
 from cgm.scalars import Params, mu, poly_G
 from cgm.regions import (
     brute_force_vertical_positivity,
@@ -14,6 +15,7 @@ from cgm.regions import (
     find_params_thm1,
     find_params_thm3,
     nonneg_sectional,
+    radial_planes,
     scalar_grid_min,
     scalar_pos_sufficient,
     scalar_positivity_interval,
@@ -126,10 +128,52 @@ class TestNonnegSectional:
     def test_witness_both_directions_spot(self):
         for (p, q, n, c) in [(2, -1, 3, 1.0), (1, 2, 2, 1.0), (2, 0, 3, 1.0)]:
             assert nonneg_sectional(Params(p, q), n, c)
-            assert sectional_witness_min(Params(p, q), n, c, seed=2) >= -1e-9
+            assert sectional_witness_min(Params(p, q), n, c) >= -1e-9
         for (p, q, n, c) in [(1, 1, 3, 2.0), (3, 0, 3, 0.0), (2, -1, 3, 6.0)]:
             assert not nonneg_sectional(Params(p, q), n, c)
-            assert sectional_witness_min(Params(p, q), n, c, seed=2) < -1e-9
+            assert sectional_witness_min(Params(p, q), n, c) < -1e-9
+
+    def test_witness_probes_past_1e3_for_q_nonnegative(self):
+        # Q(t) = 4.00052 - 0.00052 t changes sign near t = 7.7e3, so the
+        # vertical planes orthogonal to e turn negative only beyond it
+        assert not nonneg_sectional(Params(2.00026, 0), 3, 1)
+        assert sectional_witness_min(Params(2.00026, 0), 3, 1) < -1e-9
+
+
+class TestEndpointBounds:
+    """Lifted planes of orthonormal base pairs lie within the radial families.
+
+    Curvatures come from the assembled tensor (sectional_plane), the bounds
+    from the closed-form families at the same radius.
+    """
+
+    def test_lifted_planes_bounded_by_radial_families(self):
+        rng = np.random.default_rng(41)
+        for _ in range(150):
+            n = int(rng.integers(2, 5))
+            params = Params(rng.uniform(-3, 4), rng.uniform(-2, 3))
+            c = rng.uniform(-2, 2)
+            q = float(params.q)
+            d = rng.standard_normal(n)
+            t = rng.uniform(0, 3.0 if q >= 0 else -0.9 / q)
+            e = FiberPoint(math.sqrt(t) * d / np.linalg.norm(d))
+            X, Y = np.linalg.qr(rng.standard_normal((n, 2)))[0].T
+            fam = radial_planes(params, c, np.array([e.t]))
+            base = BaseCurvature.space_form(c)
+
+            def K(A, B):
+                return sectional_plane(params, e, A, B, base)
+
+            def tol(*vals):
+                return 1e-9 * max(1.0, *(abs(float(v)) for v in vals))
+
+            k_v = K(LiftVector.vertical(X), LiftVector.vertical(Y))
+            lo, hi = sorted((float(fam.vv_perp[0]), float(fam.vv_through[0])))
+            assert lo - tol(lo, hi) <= k_v <= hi + tol(lo, hi), (params, n, c, t, k_v, lo, hi)
+            k_h = K(LiftVector.horizontal(X), LiftVector.horizontal(Y))
+            assert k_h >= fam.hh[0] - tol(fam.hh[0]), (params, n, c, t, k_h, fam.hh[0])
+            for A, B in ((X, Y), (Y, X)):
+                assert K(LiftVector.horizontal(A), LiftVector.vertical(B)) >= -tol(c * c)
 
 
 class TestScalarSufficient:
@@ -168,6 +212,13 @@ class TestSearches:
     def test_thm1_certificates_positive(self):
         for n, c in [(2, -4), (3, 7), (5, -2)]:
             res = find_params_thm1(n, c)
+            assert res.certificate["min_scalar_on_grid"] > 0
+
+    def test_thm1_large_p_past_float_overflow(self):
+        # the accepted p lies past p ~ 143, where p**p overflows a float
+        for n in (3, 5):
+            res = find_params_thm1(n, -100)
+            assert float(res.params.p) > 143
             assert res.certificate["min_scalar_on_grid"] > 0
 
     def test_thm3_zero_curvature_returns_cheeger_gromoll(self):

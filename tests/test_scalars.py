@@ -167,6 +167,35 @@ def test_hyperbola_values():
         hyperbola_nu(-2)
 
 
+def test_mu_float_path_past_overflow():
+    # below the overflow of p**p the float path keeps its bits; past it mu ~ e*p
+    assert mu(142.5) == 142.5**142.5 / 141.5**141.5
+    for p in (143.5, 180.5, 1000.5):
+        with pytest.raises(OverflowError):
+            p**p
+        want = math.exp(p * math.log(p) - (p - 1) * math.log(p - 1))
+        assert_allclose(float(mu(p)), want, rtol=1e-12)
+        assert math.e * (p - 1) < mu(p) < math.e * p
+
+
+def test_kernels_accept_radius_arrays():
+    # each element equals the scalar evaluation (same order of operations)
+    t = np.array([0.0, 0.3, 1.7, 2.4])
+    for params, n in [(Params(1.3, 0.6), 3), (Params(2, -0.4), 2), (Params(-1.5, 2), 4)]:
+        cs = coefficients(params, t, n)
+        s = scalar_curvature_spaceform(params, n, 1.25, t)
+        for i, ti in enumerate(t):
+            one = coefficients(params, float(ti), n)
+            for name in ("A", "B", "C", "alpha", "beta"):
+                assert getattr(cs, name)[i] == getattr(one, name)
+            assert s[i] == scalar_curvature_spaceform(params, n, 1.25, float(ti))
+            assert omega_q(t, params)[i] == omega_q(float(ti), params)
+    with pytest.raises(DomainError):
+        coefficients(Params(1, -0.5), np.array([0.0, 1.0, 2.0]), 3)
+    with pytest.raises(DomainError):
+        omega(np.array([0.5, -0.1]))
+
+
 def test_multipliers_domains_and_identities():
     m = multipliers(Params(3, 0), 2)
     assert m.m1 == 1.0  # n = 2 collapses m1
