@@ -76,21 +76,13 @@ PREDICATES = ("gamma", "gamma_prime", "delta", "delta_prime", "scalar_sufficient
 
 def _cell_value(spec: ScanSpec, p: float, q: float) -> float:
     params = Params(p, q)
-    if spec.predicate == "gamma":
-        return 1.0 if classify(params, spec.n).in_gamma else 0.0
-    if spec.predicate == "gamma_prime":
-        return 1.0 if classify(params, spec.n).in_gamma_prime else 0.0
     if spec.predicate == "vertical_positive":
         return 1.0 if rg.vertical_positivity(params, spec.n) else 0.0
-    if spec.predicate == "delta":
-        v = classify(params, spec.n, spec.c).in_delta
-        return math.nan if v is None else float(v)
-    if spec.predicate == "delta_prime":
-        v = classify(params, spec.n, spec.c).in_delta_prime
-        return math.nan if v is None else float(v)
     if spec.predicate == "scalar_sufficient":
         return 1.0 if rg.scalar_pos_sufficient(params, spec.n, spec.c) is not None else 0.0
-    raise ValueError(spec.predicate)
+    c = spec.c if spec.predicate.startswith("delta") else None  # Gamma does not depend on c
+    v = getattr(classify(params, spec.n, c), "in_" + spec.predicate)
+    return math.nan if v is None else (1.0 if v else 0.0)
 
 
 def run_scan(spec: ScanSpec) -> list[tuple[float, float, float]]:
@@ -147,9 +139,7 @@ def write_scan_svg(path: str, spec: ScanSpec, cells) -> None:
 
 
 def cmd_classify(args) -> int:
-    params = Params(args.p, args.q)
-    verdict = classify(params, args.n, args.c)
-    payload = verdict.as_dict()
+    payload = classify(Params(args.p, args.q), args.n, args.c).as_dict()
     payload["p"], payload["q"], payload["n"] = float(args.p), float(args.q), args.n
     if args.c is not None:
         payload["c"] = float(args.c)

@@ -39,8 +39,10 @@ ORTHO_TOL = 1e-10
 
 def _dot(U: np.ndarray, V: np.ndarray):
     """<U, V> over the last axis: a scalar for two vectors, else shape (..., 1)."""
-    if U.ndim == 1 and V.ndim == 1:
-        return U @ V
+    if V.ndim == 1:  # matmul unless both sides are batched
+        return U @ V if U.ndim == 1 else (U @ V)[..., None]
+    if U.ndim == 1:
+        return (V @ U)[..., None]
     return np.einsum("...i,...i->...", U, V)[..., None]
 
 

@@ -1,10 +1,12 @@
 """Parameter-plane region classifiers and constructive positivity searches.
 
-Region membership follows the defining inequalities verbatim: strict versus
-non-strict comparisons are preserved, comparisons are performed in exact
-rational arithmetic whenever the inputs are rational (floats are compared
-exactly as the rationals they represent, never with an epsilon), and the
-boundary curves mu, lambda, nu are evaluated exactly where possible.
+Region membership follows the defining inequalities verbatim, each region
+written once: one component rule gives Gamma and Gamma', one rule gives Delta_c
+and Delta'_c together.  Strict versus non-strict comparisons are preserved,
+comparisons are performed in exact rational arithmetic whenever the inputs are
+rational (floats are compared exactly as the rationals they represent, never
+with an epsilon), and the boundary curves mu, lambda, nu are evaluated exactly
+where possible.
 
 The constructive searches return a :class:`SearchResult` whose certificate
 records the grid minimum of the scalar curvature (always positive) and, for
@@ -15,7 +17,7 @@ polynomial G.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
@@ -49,76 +51,64 @@ def _x(v: Number) -> Fraction:
 # memberships
 
 
-def _gamma_plus_component(p, q) -> Optional[str]:
+_GAMMA = ("gamma_plus_1", "gamma_plus_2", "gamma_plus_3", "gamma_minus", "gamma_zero")
+
+
+def _gamma_component(p, q) -> str:
+    """First component of Gamma' holding (p, q), or "none"; those of Gamma come first.
+
+    Gamma_minus and Gamma_zero lie inside Gamma'_minus and Gamma'_zero.
+    """
     if Fraction(-8) < p <= -2 and q > hyperbola_lambda(p):
         return "gamma_plus_1"
     if -2 <= p <= 0 and 2 * p + q > 0:
         return "gamma_plus_2"
     if 0 <= p <= 1 and q > 0:
         return "gamma_plus_3"
-    return None
-
-
-def _in_gamma_minus(p, q) -> bool:
-    return p + q == 1 and q < 0
-
-
-def _in_gamma_prime_minus(p, q) -> bool:
-    return p + q >= 1 and q < 0
-
-
-def _in_gamma_zero(p, q) -> bool:
-    return q == 0 and 0 < p <= 2
-
-
-def _in_gamma_prime_zero(p, q) -> bool:
-    return q == 0 and p > 0
+    if p + q == 1 and q < 0:
+        return "gamma_minus"
+    if q == 0 and 0 < p <= 2:
+        return "gamma_zero"
+    if p + q >= 1 and q < 0:
+        return "gamma_prime_minus"
+    if q == 0 and p > 0:
+        return "gamma_prime_zero"
+    return "none"
 
 
 def _in_omega(p, q) -> bool:
     kappa1 = (p - 2) * (p - 2) / Fraction(4)
-    if (p > 2 or p < -2) and q > kappa1:
-        return True
-    if -2 <= p <= 0 and 2 * p + q > 0:
-        return True
-    if 0 <= p <= 2 and q > 0:
-        return True
-    return False
+    return (
+        ((p > 2 or p < -2) and q > kappa1)
+        or (-2 <= p <= 0 and 2 * p + q > 0)
+        or (0 <= p <= 2 and q > 0)
+    )
 
 
-def _mu_cut(p, c) -> bool:
-    """mu(p) >= 3c/4, evaluated exactly for integer p."""
-    return mu(p) >= 3 * c / 4
+def _delta_pair(p, q, c) -> tuple[bool, bool]:
+    """Membership of (p, q) in Delta_c and in Delta'_c, for exact c >= 0.
 
-
-def _in_delta(p, q, c, prime: bool) -> bool:
-    if c == 0:
-        if prime:
-            if q == 0 and p >= 0:
-                return True
-            if p + q >= 1 and q < 0:
-                return True
+    The two agree for q > 0.  For q <= 0, Delta'_c is p + q >= 1 (q < 0) and
+    the axis q = 0 from p = 0 (c = 0) or p = 1 (c > 0), cut by mu(p) >= 3c/4;
+    Delta_c narrows the first to the line p + q = 1 and caps the axis at p <= 2.
+    """
+    if q > 0:
+        if c == 0:  # closures of the q > 0 components of Gamma except the third
+            inside = (
+                (Fraction(-8) < p <= -2 and q >= hyperbola_lambda(p))
+                or (-2 <= p <= 0 and 2 * p + q >= 0)
+                or (0 <= p <= 1)
+            )
         else:
-            if q == 0 and 0 <= p <= 2:
-                return True
-            if p + q == 1 and q < 0:
-                return True
-        # Delta_plus: closures of the q>0 components except the third
-        if Fraction(-8) < p <= -2 and q >= hyperbola_lambda(p):
-            return True
-        if -2 <= p <= 0 and 2 * p + q >= 0:
-            return True
-        if 0 <= p <= 1 and q > 0:
-            return True
-        return False
-    # c > 0
-    if q < 0 and (p + q >= 1 if prime else p + q == 1) and p >= 1 and _mu_cut(p, c):
-        return True
-    if q == 0 and (p >= 1 if prime else 1 <= p <= 2) and _mu_cut(p, c):
-        return True
-    if c <= Fraction(4, 3) and p == 1 and q > 0:
-        return True
-    return False
+            inside = c <= Fraction(4, 3) and p == 1
+        return inside, inside
+    if q < 0:  # p + q >= 1 and q < 0 give p > 1
+        narrow, wide = p + q == 1, p + q >= 1
+    else:
+        wide = p >= (0 if c == 0 else 1)
+        narrow = wide and p <= 2
+    wide = wide and (c == 0 or mu(p) >= 3 * c / 4)  # mu only where p >= 1
+    return narrow and wide, wide
 
 
 @dataclass(frozen=True)
@@ -135,65 +125,32 @@ class RegionVerdict:
     delta_reason: Optional[str] = None
 
     def as_dict(self) -> dict:
-        return {
-            "in_gamma": self.in_gamma,
-            "in_gamma_prime": self.in_gamma_prime,
-            "in_omega": self.in_omega,
-            "in_delta": self.in_delta,
-            "in_delta_prime": self.in_delta_prime,
-            "gamma_component": self.gamma_component,
-            "scalar_condition": self.scalar_condition,
-            "delta_reason": self.delta_reason,
-        }
+        return asdict(self)
 
 
 def classify(params: Params, n: int, c: Optional[Number] = None) -> RegionVerdict:
-    """Evaluate every region membership for (p, q), dimension n, curvature c."""
+    """Evaluate every region membership for (p, q), dimension n, curvature c.
+
+    Gamma and Gamma' are read off one component rule, Delta_c and Delta'_c off one pair rule.
+    """
     if n < 2:
         raise ValueError("n >= 2 required")
     p, q = _x(params.p), _x(params.q)
-
-    plus = _gamma_plus_component(p, q)
-    gm, gz = _in_gamma_minus(p, q), _in_gamma_zero(p, q)
-    gpm, gpz = _in_gamma_prime_minus(p, q), _in_gamma_prime_zero(p, q)
-    in_gamma = plus is not None or gm or gz
-    in_gamma_prime = plus is not None or gpm or gpz
-
-    if plus is not None:
-        component = plus
-    elif gm:
-        component = "gamma_minus"
-    elif gz:
-        component = "gamma_zero"
-    elif gpm:
-        component = "gamma_prime_minus"
-    elif gpz:
-        component = "gamma_prime_zero"
-    else:
-        component = "none"
-
+    component = _gamma_component(p, q)
     if c is None:
-        in_delta = in_delta_prime = None
-        reason = "no base curvature supplied"
+        delta, reason = (None, None), "no base curvature supplied"
     elif _x(c) < 0:
-        in_delta = in_delta_prime = False
-        reason = "nonnegative sectional curvature requires c >= 0"
+        delta, reason = (False, False), "nonnegative sectional curvature requires c >= 0"
     else:
-        cx = _x(c)
-        in_delta = _in_delta(p, q, cx, prime=False)
-        in_delta_prime = _in_delta(p, q, cx, prime=True)
-        reason = None
-
-    condition = None if c is None else scalar_pos_sufficient(params, n, c)
-
+        delta, reason = _delta_pair(p, q, _x(c)), None
     return RegionVerdict(
-        in_gamma,
-        in_gamma_prime,
+        in_gamma=component in _GAMMA,
+        in_gamma_prime=component != "none",
         in_omega=_in_omega(p, q),
-        in_delta=in_delta,
-        in_delta_prime=in_delta_prime,
+        in_delta=delta[0],
+        in_delta_prime=delta[1],
         gamma_component=component,
-        scalar_condition=condition,
+        scalar_condition=None if c is None else scalar_pos_sufficient(params, n, c),
         delta_reason=reason,
     )
 
@@ -202,8 +159,8 @@ def vertical_positivity(params: Params, n: int) -> bool:
     """Whether every vertical 2-plane has strictly positive sectional curvature."""
     if n < 2:
         raise ValueError("n >= 2 required")
-    v = classify(params, max(n, 2))
-    return v.in_gamma if n >= 3 else v.in_gamma_prime
+    component = _gamma_component(_x(params.p), _x(params.q))
+    return component in _GAMMA if n >= 3 else component != "none"
 
 
 def nonneg_sectional(params: Params, n: int, c: Number) -> bool:
@@ -212,8 +169,7 @@ def nonneg_sectional(params: Params, n: int, c: Number) -> bool:
         raise ValueError("n >= 2 required")
     if _x(c) < 0:
         return False  # K >= 0 necessary on the base
-    p, q = _x(params.p), _x(params.q)
-    return _in_delta(p, q, _x(c), prime=(n == 2))
+    return _delta_pair(_x(params.p), _x(params.q), _x(c))[n == 2]
 
 
 def scalar_pos_sufficient(params: Params, n: int, c: Number) -> Optional[str]:
@@ -223,10 +179,9 @@ def scalar_pos_sufficient(params: Params, n: int, c: Number) -> Optional[str]:
     p, q = _x(params.p), _x(params.q)
     cx = _x(c)
     if cx == 0:
-        v = classify(params, n)
         if n >= 3:
-            return "gamma" if v.in_gamma else None
-        return "gamma_prime" if v.in_gamma_prime else None
+            return "gamma" if _gamma_component(p, q) in _GAMMA else None
+        return "gamma_prime" if _gamma_component(p, q) != "none" else None
 
     cf = float(cx)
     m = multipliers(params, n)

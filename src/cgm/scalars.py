@@ -59,10 +59,6 @@ class Params:
             if not math.isfinite(float(v)):
                 raise ValueError("parameters must be finite")
 
-    def t_sup(self) -> float:
-        """Supremum of the admissible fibre radii: +inf for q >= 0, -1/q else."""
-        return math.inf if self.q >= 0 else -1.0 / float(self.q)
-
     def contains_t(self, t: Number) -> bool:
         return t >= 0 and float(self.q) * float(t) > -1.0 + EPS_DOM
 
@@ -204,11 +200,9 @@ def _poly_add(a: Sequence, b: Sequence) -> list:
     return out
 
 
-def _poly_pow(a: Sequence, k: int) -> list:
-    out = [1]
-    for _ in range(k):
-        out = _poly_mul(out, a)
-    return out
+def _binomial_row(k: int) -> list:
+    """Coefficients of (1 + t)^k."""
+    return [math.comb(k, i) for i in range(k + 1)]
 
 
 def poly_P(params: Params) -> PolySpec:
@@ -245,16 +239,12 @@ def poly_G(params: Params, n: int, c: Number) -> PolySpec:
     if float(p_num) < 1 or float(p_num) != int(p_num):
         raise ValueError("poly_G requires a positive integer p")
     p = int(p_num)
-    if _exactable(params.q, c) or isinstance(params.q, float) or isinstance(c, float):
-        q = _as_fraction(params.q)
-        cc = _as_fraction(c)
-    else:  # pragma: no cover - all Number types handled above
-        q, cc = params.q, c
+    q, cc = _as_fraction(params.q), _as_fraction(c)
     one_qt2 = _poly_mul([1, q], [1, q])
-    term1 = [n * cc * v for v in _poly_mul(_poly_pow([1, 1], p), one_qt2)]
+    term1 = [n * cc * v for v in _poly_mul(_binomial_row(p), one_qt2)]
     term2 = [-cc * cc * Fraction(1, 2) * v for v in _poly_mul([0, 1], one_qt2)]
     cpoly = poly_C(Params(p, q), n).coefficients
-    term3 = _poly_mul(_poly_pow([1, 1], 2 * p - 2), list(cpoly))
+    term3 = _poly_mul(_binomial_row(2 * p - 2), list(cpoly))
     out = _poly_add(_poly_add(term1, term2), term3)
     while len(out) > 1 and out[-1] == 0:
         out.pop()

@@ -349,21 +349,45 @@ def strata_parameter_points() -> dict:
     return {"q<0": neg, "q=0": zero, "q>0": pos}
 
 
-def suite_regions(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]:
-    out = []
-
-    # classifier vs brute-force oracle, 1e-7 boundary band
-    band = 1e-7
+def vertical_mismatches(seed: int = 0, band: float = 1e-7) -> list:
+    """(n, stratum, p, q, minimum, verdict) where the sampled minimum contradicts
+    vertical_positivity outside the band; point idx draws its radii from seed + idx."""
     bad = []
-    strata = strata_parameter_points()
     for n in (2, 3):
-        for name, pts in strata.items():
+        for name, pts in strata_parameter_points().items():
             for idx, (p, q) in enumerate(pts):
                 params = Params(p, q)
                 cl = rg.vertical_positivity(params, n)
                 bmin = rg.vertical_curvature_minimum(params, n, 10_000, seed + idx)
                 if cl != (bmin > 0) and abs(bmin) > band:
-                    bad.append((n, name, round(p, 3), round(q, 3), bmin, cl))
+                    bad.append((n, name, p, q, bmin, cl))
+    return bad
+
+
+def witness_mismatches(seed: int = 0, sound_tol: float = 1e-9) -> list:
+    """(kind, n, c, p, q, minimum) where the lifted-plane minimum contradicts
+    nonneg_sectional: "sound" below -sound_tol, "complete" at or above -1e-9."""
+    bad = []
+    for c in (0, 1, Fraction(16, 3), 6):
+        pts = nonneg_witness_points(float(c), seed)
+        for n in (2, 3):
+            for p, q in pts:
+                params = Params(p, q)
+                verdict = rg.nonneg_sectional(params, n, c)
+                m = rg.sectional_witness_min(params, n, float(c))
+                if verdict and m < -sound_tol:
+                    bad.append(("sound", n, float(c), p, q, m))
+                if not verdict and 2 * p + q >= 0 and m >= -1e-9:
+                    bad.append(("complete", n, float(c), p, q, m))
+    return bad
+
+
+def suite_regions(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]:
+    out = []
+
+    # classifier vs brute-force oracle, 1e-7 boundary band
+    raw = vertical_mismatches(seed)
+    bad = [(n, name, round(p, 3), round(q, 3), bmin, cl) for n, name, p, q, bmin, cl in raw]
     out.append(
         _check_bool(
             "classifier_vs_bruteforce",
@@ -412,18 +436,8 @@ def suite_regions(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]:
     )
 
     # structured witness agrees with the K >= 0 classifier, both directions
-    bad = []
-    for c in (0, 1, Fraction(16, 3), 6):
-        pts = nonneg_witness_points(float(c), seed)
-        for n in (2, 3):
-            for p, q in pts:
-                params = Params(p, q)
-                verdict = rg.nonneg_sectional(params, n, c)
-                m = rg.sectional_witness_min(params, n, float(c))
-                if verdict and m < -1e-9 * tol_scale:
-                    bad.append(("sound", n, float(c), round(p, 3), round(q, 3), m))
-                if not verdict and 2 * p + q >= 0 and m >= -1e-9:
-                    bad.append(("complete", n, float(c), round(p, 3), round(q, 3), m))
+    raw = witness_mismatches(seed, 1e-9 * tol_scale)
+    bad = [(kind, n, c, round(p, 3), round(q, 3), m) for kind, n, c, p, q, m in raw]
     out.append(
         _check_bool(
             "nonneg_sectional_witness",

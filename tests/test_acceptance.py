@@ -31,12 +31,12 @@ from cgm import regions as rg
 from cgm.verify import (
     _cell_point,
     _oracle_scalar,
-    nonneg_witness_points,
     oracle_matrix_cells,
-    strata_parameter_points,
     sufficient_condition_samples,
     suite_identities,
     suite_symmetries,
+    vertical_mismatches,
+    witness_mismatches,
 )
 
 
@@ -81,28 +81,9 @@ def test_criterion_2_identity_suite():
 
 
 def test_criterion_3_region_equivalence():
-    band = 1e-7
-    disagreements = []
-    for n in (2, 3):
-        for _, pts in strata_parameter_points().items():
-            for idx, (p, q) in enumerate(pts):
-                params = Params(p, q)
-                cl = rg.vertical_positivity(params, n)
-                bmin = rg.vertical_curvature_minimum(params, n, 10_000, seed=idx)
-                if cl != (bmin > 0) and abs(bmin) > band:
-                    disagreements.append((n, p, q, bmin))
-    witness_bad = []
-    for c in (0, 1, Fraction(16, 3), 6):
-        pts = nonneg_witness_points(float(c), seed=0)
-        for n in (2, 3):
-            for p, q in pts:
-                params = Params(p, q)
-                verdict = rg.nonneg_sectional(params, n, c)
-                m = rg.sectional_witness_min(params, n, float(c))
-                if verdict and m < -1e-9:
-                    witness_bad.append(("sound", n, float(c), p, q, m))
-                if not verdict and 2 * p + q >= 0 and m >= -1e-9:
-                    witness_bad.append(("complete", n, float(c), p, q, m))
+    # the loops of verify.suite_regions at seed 0: band 1e-7, witness -1e-9
+    disagreements = vertical_mismatches(seed=0, band=1e-7)
+    witness_bad = witness_mismatches(seed=0, sound_tol=1e-9)
     ok = not disagreements and not witness_bad
     assert report(
         3, ok,

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from cgm.curvature import BaseCurvature, FiberPoint, LiftVector, sectional_plane
-from cgm.scalars import Params, mu, poly_G
+from cgm.scalars import Params, hyperbola_lambda, mu, poly_G
 from cgm.regions import (
     brute_force_vertical_positivity,
     classify,
@@ -299,3 +301,30 @@ class TestOmega:
         v = classify(Params(p, q), 3)
         if v.gamma_component.startswith("gamma_plus"):
             assert v.in_omega
+
+
+def _classify_digest_points() -> list:
+    """(p, q) in steps of 1/4, plus points on the region boundaries and the p cuts."""
+    quarter = [Fraction(k, 4) for k in range(-36, 13)]
+    pts = {(p, q) for p in quarter for q in quarter if -3 <= q <= 3}
+    pts |= {(p, hyperbola_lambda(p)) for p in quarter if p != -8}
+    pts |= {(p, -2 * p) for p in quarter}
+    pts |= {(p, 1 - p) for p in quarter}
+    pts |= {(Fraction(p), Fraction(k, 8)) for p in (-8, -2, 0, 1, 2) for k in range(-24, 25)}
+    return sorted(pts)
+
+
+def test_classify_record_digest():
+    # sha256 of every classify record plus the vertical-positivity and K >= 0
+    # verdicts on a grid through the region boundaries; the digest was
+    # recorded before the region rules were merged, and pins every bit
+    h = hashlib.sha256()
+    for p, q in _classify_digest_points():
+        params = Params(p, q)
+        for n in (2, 3):
+            h.update(f"{p},{q},{n},{vertical_positivity(params, n)}\n".encode())
+            for c in (None, -1, 0, Fraction(1, 2), 1, Fraction(4, 3), 2, 4, Fraction(16, 3), 6):
+                rec = json.dumps(classify(params, n, c).as_dict())
+                nonneg = None if c is None else nonneg_sectional(params, n, c)
+                h.update(f"{c},{rec},{nonneg}\n".encode())
+    assert h.hexdigest() == "8a00ed91ee23e2a4141c0ccc85870495e0c282799730532339ad9ce119b26003"

@@ -132,6 +132,24 @@ def test_poly_G_examples():
         poly_G(Params(1.5, 0), 3, 1)
 
 
+def test_poly_G_matches_three_term_definition_at_p40():
+    # G(t) = n c (1+t)^p (1+qt)^2 - (c^2/2) t (1+qt)^2 + (1+t)^(2p-2) C(t),
+    # C = 2P + (n-2)(1+qt)Q, compared in exact rational arithmetic
+    p, q = 40, Fraction(3, 7)
+    for n, c in ((2, Fraction(-5, 2)), (3, Fraction(16, 3)), (5, Fraction(-30))):
+        g = poly_G(Params(p, q), n, c)
+        for t in (Fraction(0), Fraction(1, 3), Fraction(7, 2), Fraction(-2, 5)):
+            P = (2 * p + q) + (p + 2) * q * t + (1 - p) * q * t * t
+            Q = (2 * p + q) + (2 * p + 2 * q - p * p) * t + q * t * t
+            C = 2 * P + (n - 2) * (1 + q * t) * Q
+            want = (
+                n * c * (1 + t) ** p * (1 + q * t) ** 2
+                - c * c / 2 * t * (1 + q * t) ** 2
+                + (1 + t) ** (2 * p - 2) * C
+            )
+            assert g.evaluate_exact(t) == want
+
+
 @given(
     p=st.integers(min_value=1, max_value=5),
     q=st.fractions(min_value=0, max_value=4),
