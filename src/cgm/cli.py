@@ -75,6 +75,8 @@ PREDICATES = ("gamma", "gamma_prime", "delta", "delta_prime", "scalar_sufficient
 
 
 def _cell_value(spec: ScanSpec, p: float, q: float) -> float:
+    if spec.predicate not in PREDICATES:
+        raise ValueError(spec.predicate)
     params = Params(p, q)
     if spec.predicate == "vertical_positive":
         return 1.0 if rg.vertical_positivity(params, spec.n) else 0.0
@@ -123,12 +125,9 @@ def write_scan_svg(path: str, spec: ScanSpec, cells) -> None:
         fill = "url(#hatch)" if math.isnan(v) else (dark if v > 0.5 else light)
         parts.append(f'<rect x="{x}" y="{y}" width="{cell_px}" height="{cell_px}" fill="{fill}"/>')
     ly = len(q_vals) * cell_px + 6
-    parts.append(f'<rect x="2" y="{ly}" width="10" height="10" fill="{dark}"/>')
-    parts.append(f'<text x="16" y="{ly + 9}" font-size="9">{spec.predicate}</text>')
-    parts.append(f'<rect x="90" y="{ly}" width="10" height="10" fill="{light}"/>')
-    parts.append(f'<text x="104" y="{ly + 9}" font-size="9">outside</text>')
-    parts.append(f'<rect x="160" y="{ly}" width="10" height="10" fill="url(#hatch)"/>')
-    parts.append(f'<text x="174" y="{ly + 9}" font-size="9">n/a</text>')
+    for x, fill, label in ((2, dark, spec.predicate), (90, light, "outside"), (160, "url(#hatch)", "n/a")):
+        parts.append(f'<rect x="{x}" y="{ly}" width="10" height="10" fill="{fill}"/>')
+        parts.append(f'<text x="{x + 14}" y="{ly + 9}" font-size="9">{label}</text>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")
@@ -139,7 +138,9 @@ def write_scan_svg(path: str, spec: ScanSpec, cells) -> None:
 
 
 def cmd_classify(args) -> int:
-    payload = classify(Params(args.p, args.q), args.n, args.c).as_dict()
+    params = Params(args.p, args.q)
+    verdict = classify(params, args.n, args.c)
+    payload = verdict.as_dict()
     payload["p"], payload["q"], payload["n"] = float(args.p), float(args.q), args.n
     if args.c is not None:
         payload["c"] = float(args.c)

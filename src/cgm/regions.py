@@ -76,13 +76,21 @@ def _gamma_component(p, q) -> str:
     return "none"
 
 
+def _vertical_positive(p, q, n: int) -> bool:
+    """Gamma for n >= 3, Gamma' for n = 2: where every vertical plane has K > 0."""
+    component = _gamma_component(p, q)
+    return component in _GAMMA if n >= 3 else component != "none"
+
+
 def _in_omega(p, q) -> bool:
     kappa1 = (p - 2) * (p - 2) / Fraction(4)
-    return (
-        ((p > 2 or p < -2) and q > kappa1)
-        or (-2 <= p <= 0 and 2 * p + q > 0)
-        or (0 <= p <= 2 and q > 0)
-    )
+    if (p > 2 or p < -2) and q > kappa1:
+        return True
+    if -2 <= p <= 0 and 2 * p + q > 0:
+        return True
+    if 0 <= p <= 2 and q > 0:
+        return True
+    return False
 
 
 def _delta_pair(p, q, c) -> tuple[bool, bool]:
@@ -103,7 +111,8 @@ def _delta_pair(p, q, c) -> tuple[bool, bool]:
             inside = c <= Fraction(4, 3) and p == 1
         return inside, inside
     if q < 0:  # p + q >= 1 and q < 0 give p > 1
-        narrow, wide = p + q == 1, p + q >= 1
+        narrow = p + q == 1
+        wide = p + q >= 1
     else:
         wide = p >= (0 if c == 0 else 1)
         narrow = wide and p <= 2
@@ -138,11 +147,14 @@ def classify(params: Params, n: int, c: Optional[Number] = None) -> RegionVerdic
     p, q = _x(params.p), _x(params.q)
     component = _gamma_component(p, q)
     if c is None:
-        delta, reason = (None, None), "no base curvature supplied"
+        delta = (None, None)
+        reason = "no base curvature supplied"
     elif _x(c) < 0:
-        delta, reason = (False, False), "nonnegative sectional curvature requires c >= 0"
+        delta = (False, False)
+        reason = "nonnegative sectional curvature requires c >= 0"
     else:
-        delta, reason = _delta_pair(p, q, _x(c)), None
+        delta = _delta_pair(p, q, _x(c))
+        reason = None
     return RegionVerdict(
         in_gamma=component in _GAMMA,
         in_gamma_prime=component != "none",
@@ -159,8 +171,7 @@ def vertical_positivity(params: Params, n: int) -> bool:
     """Whether every vertical 2-plane has strictly positive sectional curvature."""
     if n < 2:
         raise ValueError("n >= 2 required")
-    component = _gamma_component(_x(params.p), _x(params.q))
-    return component in _GAMMA if n >= 3 else component != "none"
+    return _vertical_positive(_x(params.p), _x(params.q), n)
 
 
 def nonneg_sectional(params: Params, n: int, c: Number) -> bool:
@@ -179,9 +190,9 @@ def scalar_pos_sufficient(params: Params, n: int, c: Number) -> Optional[str]:
     p, q = _x(params.p), _x(params.q)
     cx = _x(c)
     if cx == 0:
-        if n >= 3:
-            return "gamma" if _gamma_component(p, q) in _GAMMA else None
-        return "gamma_prime" if _gamma_component(p, q) != "none" else None
+        if not _vertical_positive(p, q, n):
+            return None
+        return "gamma" if n >= 3 else "gamma_prime"
 
     cf = float(cx)
     m = multipliers(params, n)
@@ -521,6 +532,11 @@ def _all_positive(spec) -> bool:
     return all(coef > 0 for coef in spec.coefficients)
 
 
+def _g_result(params: Params, n: int, c: Fraction, g, path: str) -> SearchResult:
+    extra = {"G_coefficients": g.as_floats(), "path": path}
+    return SearchResult(params, _certificate(params, n, c, extra))
+
+
 def find_params_thm3(n: int, c: Number) -> SearchResult:
     """Parameters with q >= 0 and positive scalar curvature over M(c).
 
@@ -537,22 +553,17 @@ def find_params_thm3(n: int, c: Number) -> SearchResult:
     if cf == 0:
         params = Params(1, 1)
         g = poly_G(params, n, 0)
-        extra = {"G_coefficients": g.as_floats(), "path": "c=0: Cheeger-Gromoll point"}
         if not _all_positive(g):
             raise AssertionError("G positivity failed at the c=0 seed")
-        return SearchResult(params, _certificate(params, n, cx, extra))
+        return _g_result(params, n, cx, g, "c=0: Cheeger-Gromoll point")
 
     if n == 2:
         p = 2
         for _ in range(400):
             g = poly_G(Params(p, 0), n, cx)
             if _all_positive(g):
-                params = Params(p, 0)
-                extra = {
-                    "G_coefficients": g.as_floats(),
-                    "path": f"q=0, integer p ascent: accepted p={p} ({len(path)} rejections)",
-                }
-                return SearchResult(params, _certificate(params, n, cx, extra))
+                path_text = f"q=0, integer p ascent: accepted p={p} ({len(path)} rejections)"
+                return _g_result(Params(p, 0), n, cx, g, path_text)
             path.append(p)
             p += 1
         raise RuntimeError("surface search failed to terminate")
@@ -575,12 +586,8 @@ def find_params_thm3(n: int, c: Number) -> SearchResult:
         for _ in range(40):
             g = poly_G(Params(p, q), n, cx)
             if _all_positive(g):
-                params = Params(p, q)
-                extra = {
-                    "G_coefficients": g.as_floats(),
-                    "path": f"started p={p0}, accepted (p,q)=({p},{q}) after {len(path)} rejections",
-                }
-                return SearchResult(params, _certificate(params, n, cx, extra))
+                path_text = f"started p={p0}, accepted (p,q)=({p},{q}) after {len(path)} rejections"
+                return _g_result(Params(p, q), n, cx, g, path_text)
             path.append((p, q))
             q *= 2
     raise RuntimeError("coefficient-positivity search failed to terminate")

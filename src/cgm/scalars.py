@@ -239,7 +239,8 @@ def poly_G(params: Params, n: int, c: Number) -> PolySpec:
     if float(p_num) < 1 or float(p_num) != int(p_num):
         raise ValueError("poly_G requires a positive integer p")
     p = int(p_num)
-    q, cc = _as_fraction(params.q), _as_fraction(c)
+    q = _as_fraction(params.q)
+    cc = _as_fraction(c)
     one_qt2 = _poly_mul([1, q], [1, q])
     term1 = [n * cc * v for v in _poly_mul(_binomial_row(p), one_qt2)]
     term2 = [-cc * cc * Fraction(1, 2) * v for v in _poly_mul([0, 1], one_qt2)]
@@ -261,13 +262,10 @@ def mu(p: Number) -> Number:
         raise DomainError("mu is defined for p >= 1")
     if p == 1:
         return Fraction(1) if _exactable(p) else 1.0
-    if isinstance(p, float) and p.is_integer():
+    if (isinstance(p, float) and p.is_integer()) or (isinstance(p, Fraction) and p.denominator == 1):
         p = int(p)
     if isinstance(p, int):
         return Fraction(p**p, (p - 1) ** (p - 1))
-    if isinstance(p, Fraction) and p.denominator == 1:
-        ip = int(p)
-        return Fraction(ip**ip, (ip - 1) ** (ip - 1))
     fp = float(p)
     try:
         return fp**fp / (fp - 1) ** (fp - 1)
@@ -333,7 +331,6 @@ def multipliers(params: Params, n: int) -> Multipliers:
         m2 = math.sqrt(1 + 4 * p / (n * mp))
         m3 = math.sqrt(1 + 2 * (p * p - 1) / (n * p * mp))
     if p > 1:
-        mp = float(mu(p))
         if hyperbola_lambda(p) < q < 0:
             D = p * q * (p * q + 8 * p + 8 * q - 8)
             m4 = math.sqrt(1 + D / (4 * (p - 1) * (q - 1) * mp))

@@ -126,6 +126,15 @@ class TestScanCommand:
             again = _cell_value(spec, float(p_s), float(q_s))
             assert abs(again - float(v_s)) <= 1e-10
 
+    @pytest.mark.parametrize("predicate", ["omega", "gama", "scalar_condition"])
+    def test_unknown_predicate_raises(self, predicate):
+        # in_omega and scalar_condition are verdict fields, but not scan predicates
+        spec = ScanSpec((0, 1, 1), (0, 1, 1), 3, 1, predicate)
+        with pytest.raises(ValueError, match=predicate):
+            _cell_value(spec, 0.5, 0.5)
+        with pytest.raises(ValueError, match=predicate):
+            run_scan(spec)
+
     def test_svg_shape(self, tmp_path, capsys):
         svg = tmp_path / "img.svg"
         run_cli(
