@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -87,20 +88,39 @@ def _cell_value(spec: ScanSpec, p: float, q: float) -> float:
     return math.nan if v is None else (1.0 if v else 0.0)
 
 
-def run_scan(spec: ScanSpec) -> list[tuple[float, float, float]]:
-    """Evaluate the scan grid in deterministic row-major order (p outer, q inner)."""
+def _scan(spec: ScanSpec) -> tuple[list[tuple[float, float, float]], int]:
+    """The cells of :func:`run_scan` by :func:`regions.scan_column`, and how many were ties."""
     if spec.axis_count("p") * spec.axis_count("q") > MAX_GRID_CELLS:
         raise ValueError("grid exceeds the 1e7 cell limit")
-    p_vals = [float(v) for v in spec.axis("p")]
+    if spec.predicate not in PREDICATES:
+        raise ValueError(spec.predicate)
     q_vals = [float(v) for v in spec.axis("q")]
-    return [(p, q, _cell_value(spec, p, q)) for p in p_vals for q in q_vals]
+    q_axis = np.array(q_vals)
+    cells, exact = [], 0
+    for p in [float(v) for v in spec.axis("p")]:
+        inside, tie = rg.scan_column(spec.predicate, Fraction(p), q_axis, spec.n, spec.c)
+        column = [(p, q, 1.0 if v else 0.0) for q, v in zip(q_vals, inside.tolist())]
+        for j in np.flatnonzero(tie).tolist():  # the per-cell rule decides the ties
+            column[j] = (p, q_vals[j], _cell_value(spec, p, q_vals[j]))
+            exact += 1
+        cells += column
+    return cells, exact
+
+
+def run_scan(spec: ScanSpec) -> list[tuple[float, float, float]]:
+    """Evaluate the scan grid in deterministic row-major order (p outer, q inner)."""
+    return _scan(spec)[0]
 
 
 def write_scan_csv(path: str, spec: ScanSpec, cells) -> None:
+    text = functools.cache(lambda key: _fmt(float.fromhex(key)))  # by float.hex, as -0.0 == 0.0 but "-0" != "0"
+    head = last_p = None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("p,q,predicate,value\n")
         for p, q, v in cells:
-            fh.write(f"{_fmt(p)},{_fmt(q)},{spec.predicate},{_fmt(v)}\n")
+            if p is not last_p:  # rows come one p column at a time
+                head, last_p = f"{_fmt(p)},", p
+            fh.write(f"{head}{text(q.hex())},{spec.predicate},{text(v.hex())}\n")
 
 
 def write_scan_svg(path: str, spec: ScanSpec, cells) -> None:
@@ -110,27 +130,24 @@ def write_scan_svg(path: str, spec: ScanSpec, cells) -> None:
     legend_h = 24
     width = len(p_vals) * cell_px + 2
     height = len(q_vals) * cell_px + legend_h + 2
-    pi = {v: i for i, v in enumerate(p_vals)}
-    qi = {v: i for i, v in enumerate(q_vals)}
+    xs = {v: i * cell_px + 1 for i, v in enumerate(p_vals)}
+    ys = {v: (len(q_vals) - 1 - i) * cell_px + 1 for i, v in enumerate(q_vals)}  # q grows upward
     dark, light = "#1f3a6e", "#e8ecf4"
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        "<defs><pattern id=\"hatch\" width=\"4\" height=\"4\" patternUnits=\"userSpaceOnUse\">"
-        "<path d=\"M0,4 L4,0\" stroke=\"#8a8a8a\" stroke-width=\"1\"/></pattern></defs>",
-    ]
-    for p, q, v in cells:
-        x = pi[p] * cell_px + 1
-        y = (len(q_vals) - 1 - qi[q]) * cell_px + 1  # q grows upward
-        fill = "url(#hatch)" if math.isnan(v) else (dark if v > 0.5 else light)
-        parts.append(f'<rect x="{x}" y="{y}" width="{cell_px}" height="{cell_px}" fill="{fill}"/>')
-    ly = len(q_vals) * cell_px + 6
-    for x, fill, label in ((2, dark, spec.predicate), (90, light, "outside"), (160, "url(#hatch)", "n/a")):
-        parts.append(f'<rect x="{x}" y="{ly}" width="10" height="10" fill="{fill}"/>')
-        parts.append(f'<text x="{x + 14}" y="{ly + 9}" font-size="9">{label}</text>')
-    parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}" '
+            f'viewBox="0 0 {width} {height}">\n'
+            "<defs><pattern id=\"hatch\" width=\"4\" height=\"4\" patternUnits=\"userSpaceOnUse\">"
+            "<path d=\"M0,4 L4,0\" stroke=\"#8a8a8a\" stroke-width=\"1\"/></pattern></defs>\n"
+        )
+        for p, q, v in cells:
+            fill = "url(#hatch)" if math.isnan(v) else (dark if v > 0.5 else light)
+            fh.write(f'<rect x="{xs[p]}" y="{ys[q]}" width="{cell_px}" height="{cell_px}" fill="{fill}"/>\n')
+        ly = len(q_vals) * cell_px + 6
+        for x, fill, label in ((2, dark, spec.predicate), (90, light, "outside"), (160, "url(#hatch)", "n/a")):
+            fh.write(f'<rect x="{x}" y="{ly}" width="10" height="10" fill="{fill}"/>\n')
+            fh.write(f'<text x="{x + 14}" y="{ly + 9}" font-size="9">{label}</text>\n')
+        fh.write("</svg>\n")
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +179,7 @@ def cmd_scan(args) -> int:
         print("error: this predicate needs --c", file=sys.stderr)
         return 2
     try:
-        cells = run_scan(spec)
+        cells, exact = _scan(spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -173,6 +190,7 @@ def cmd_scan(args) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
+    print(f"scan: {len(cells)} cells, {exact} on the exact per-cell path", file=sys.stderr)
     print(f"wrote {len(cells)} cells to {args.csv}" + (f" and {args.svg}" if args.svg else ""))
     return 0
 

@@ -5,8 +5,13 @@ written once: one component rule gives Gamma and Gamma', one rule gives Delta_c
 and Delta'_c together.  Strict versus non-strict comparisons are preserved,
 comparisons are performed in exact rational arithmetic whenever the inputs are
 rational (floats are compared exactly as the rationals they represent, never
-with an epsilon), and the boundary curves mu, lambda, nu are evaluated exactly
-where possible.
+with an epsilon), and the boundary curves lambda, nu are evaluated exactly.
+Two decisions are floats: the cut mu(p) >= 3c/4 for non-integer p, and the
+products of scalar_pos_sufficient with the square-root multipliers m1..m5.
+:func:`scan_column` runs the same rules on a column of exact p and float q.
+There every comparison compares q with an exact threshold tau(p), and the
+correctly rounded float(tau) settles it unless q == float(tau): a tie, left to
+the per-cell rule.
 
 The constructive searches return a :class:`SearchResult` whose certificate
 records the grid minimum of the scalar curvature (always positive) and, for
@@ -16,7 +21,9 @@ polynomial G.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
@@ -51,40 +58,52 @@ def _x(v: Number) -> Fraction:
 # memberships
 
 
-_GAMMA = ("gamma_plus_1", "gamma_plus_2", "gamma_plus_3", "gamma_minus", "gamma_zero")
+def _compare(op):
+    def compare(self, tau):
+        t = float(tau)
+        if tau != 0:
+            self.tie |= self.q == t
+        return op(self.q, t)
+    return compare
 
 
-def _gamma_component(p, q) -> str:
-    """First component of Gamma' holding (p, q), or "none"; those of Gamma come first.
+class _Column:
+    """The float q axis of a scan column; comparing it with a tau(p) != 0 marks q == float(tau) as ties."""
 
-    Gamma_minus and Gamma_zero lie inside Gamma'_minus and Gamma'_zero.
-    """
-    if Fraction(-8) < p <= -2 and q > hyperbola_lambda(p):
-        return "gamma_plus_1"
-    if -2 <= p <= 0 and 2 * p + q > 0:
-        return "gamma_plus_2"
-    if 0 <= p <= 1 and q > 0:
-        return "gamma_plus_3"
-    if p + q == 1 and q < 0:
-        return "gamma_minus"
-    if q == 0 and 0 < p <= 2:
-        return "gamma_zero"
-    if p + q >= 1 and q < 0:
-        return "gamma_prime_minus"
-    if q == 0 and p > 0:
-        return "gamma_prime_zero"
-    return "none"
+    def __init__(self, q: np.ndarray):
+        self.q, self.tie = q, np.zeros(q.shape, dtype=bool)
+
+    __gt__, __ge__, __lt__, __eq__ = map(_compare, (operator.gt, operator.ge, operator.lt, operator.eq))
 
 
-def _vertical_positive(p, q, n: int) -> bool:
+# The rules below take p exact and q exact or a _Column: they join conditions on q
+# with & and |, and guard them by conditions on p alone with `and`.
+_COMPONENTS = ("gamma_plus_1", "gamma_plus_2", "gamma_plus_3", "gamma_minus", "gamma_zero",
+               "gamma_prime_minus", "gamma_prime_zero")
+_GAMMA = _COMPONENTS[:5]
+
+
+def _gamma_conditions(p, q):
+    """The conditions of the Gamma' components in order, lazily; Gamma is the first five.
+    Gamma_minus and Gamma_zero lie inside Gamma'_minus and Gamma'_zero."""
+    yield -8 < p <= -2 and q > hyperbola_lambda(p)
+    yield -2 <= p <= 0 and q > -2 * p
+    yield 0 <= p <= 1 and q > 0
+    line, below, axis = 1 - p, q < 0, q == 0
+    yield (q == line) & below
+    yield axis & (0 < p <= 2)
+    yield (q >= line) & below
+    yield axis & (p > 0)
+
+
+def _vertical_positive(p, q, n: int):
     """Gamma for n >= 3, Gamma' for n = 2: where every vertical plane has K > 0."""
-    component = _gamma_component(p, q)
-    return component in _GAMMA if n >= 3 else component != "none"
+    conditions = list(_gamma_conditions(p, q))
+    return functools.reduce(operator.or_, conditions[:5] if n >= 3 else conditions)
 
 
 def _in_omega(p, q) -> bool:
-    kappa1 = (p - 2) * (p - 2) / Fraction(4)
-    if (p > 2 or p < -2) and q > kappa1:
+    if (p > 2 or p < -2) and q > (p - 2) * (p - 2) / Fraction(4):  # q above kappa1(p)
         return True
     if -2 <= p <= 0 and 2 * p + q > 0:
         return True
@@ -93,31 +112,27 @@ def _in_omega(p, q) -> bool:
     return False
 
 
-def _delta_pair(p, q, c) -> tuple[bool, bool]:
+def _delta_pair(p, q, c):
     """Membership of (p, q) in Delta_c and in Delta'_c, for exact c >= 0.
 
     The two agree for q > 0.  For q <= 0, Delta'_c is p + q >= 1 (q < 0) and
     the axis q = 0 from p = 0 (c = 0) or p = 1 (c > 0), cut by mu(p) >= 3c/4;
     Delta_c narrows the first to the line p + q = 1 and caps the axis at p <= 2.
     """
-    if q > 0:
-        if c == 0:  # closures of the q > 0 components of Gamma except the third
-            inside = (
-                (Fraction(-8) < p <= -2 and q >= hyperbola_lambda(p))
-                or (-2 <= p <= 0 and 2 * p + q >= 0)
-                or (0 <= p <= 1)
-            )
-        else:
-            inside = c <= Fraction(4, 3) and p == 1
-        return inside, inside
-    if q < 0:  # p + q >= 1 and q < 0 give p > 1
-        narrow = p + q == 1
-        wide = p + q >= 1
+    if c == 0:  # closures of the q > 0 components of Gamma except the third
+        upper = (
+            (-8 < p <= -2 and q >= hyperbola_lambda(p))
+            | (-2 <= p <= 0 and q >= -2 * p)
+            | (0 <= p <= 1)
+        )
     else:
-        wide = p >= (0 if c == 0 else 1)
-        narrow = wide and p <= 2
-    wide = wide and (c == 0 or mu(p) >= 3 * c / 4)  # mu only where p >= 1
-    return narrow and wide, wide
+        upper = c <= Fraction(4, 3) and p == 1
+    upper = (q > 0) & upper
+    cut = c == 0 or (p >= 1 and mu(p) >= 3 * c / 4)  # for c > 0, q <= 0 needs p >= 1
+    line, below, axis = 1 - p, q < 0, (q == 0) & (p >= (0 if c == 0 else 1))
+    narrow = upper | (cut & ((below & (q == line)) | (axis & (p <= 2))))
+    wide = upper | (cut & ((below & (q >= line)) | axis))
+    return narrow, wide
 
 
 @dataclass(frozen=True)
@@ -145,7 +160,7 @@ def classify(params: Params, n: int, c: Optional[Number] = None) -> RegionVerdic
     if n < 2:
         raise ValueError("n >= 2 required")
     p, q = _x(params.p), _x(params.q)
-    component = _gamma_component(p, q)
+    component = next((name for name, hit in zip(_COMPONENTS, _gamma_conditions(p, q)) if hit), "none")
     if c is None:
         delta = (None, None)
         reason = "no base curvature supplied"
@@ -219,6 +234,31 @@ def scalar_pos_sufficient(params: Params, n: int, c: Number) -> Optional[str]:
     if q < 0 and p + q == 1 and abs(cf - n * float(mu(p))) < m.m3 * n * float(mu(p)):
         return "d"
     return None
+
+
+def scan_column(predicate: str, p: Fraction, q: np.ndarray, n: int, c: Optional[Number] = None):
+    """``predicate`` on a scan column, exact p and float q: boolean arrays (inside, tie).
+
+    ``inside`` is the per-cell verdict on every cell outside ``tie``.  Delta
+    without c has no value, so all its cells are ties.
+    """
+    if n < 2:
+        raise ValueError("n >= 2 required")
+    col, outside = _Column(q), np.zeros(q.shape, dtype=bool)
+    if predicate in ("gamma", "gamma_prime", "vertical_positive"):
+        rule_n = {"gamma": 3, "gamma_prime": 2}.get(predicate, n)  # Gamma is the n >= 3 rule
+        return _vertical_positive(p, col, rule_n), col.tie
+    if predicate == "scalar_sufficient":
+        if _x(c) == 0:
+            return _vertical_positive(p, col, n), col.tie
+        # each case needs p = 1 < q, q = 0, p + q = 1 > p or (n = 2) q < 0 < p - 1: all are ties
+        below_cases = (q == float(1 - p)) | (n == 2 and p > 1)
+        return outside, ((q > 0) & (p == 1)) | (q == 0) | ((q < 0) & below_cases)
+    if predicate not in ("delta", "delta_prime"):
+        raise ValueError(predicate)
+    if c is None or _x(c) < 0:  # without c every cell is a tie (NaN), below 0 none is inside
+        return outside, ~outside if c is None else col.tie
+    return _delta_pair(p, col, _x(c))[predicate == "delta_prime"], col.tie
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import re
 import shutil
 import subprocess
 import sys
@@ -7,7 +9,16 @@ from fractions import Fraction
 
 import pytest
 
-from cgm.cli import ScanSpec, main, parse_number, parse_range, run_scan, _cell_value
+from cgm.cli import (
+    ScanSpec,
+    _cell_value,
+    main,
+    parse_number,
+    parse_range,
+    run_scan,
+    write_scan_csv,
+    write_scan_svg,
+)
 
 
 def run_cli(capsys, *argv):
@@ -18,6 +29,13 @@ def run_cli(capsys, *argv):
 
 def last_json(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
+
+
+def per_cell_scan(spec: ScanSpec) -> list:
+    """The scan cells from the per-cell rule alone, in run_scan's order."""
+    ps = [float(v) for v in spec.axis("p")]
+    qs = [float(v) for v in spec.axis("q")]
+    return [(p, q, _cell_value(spec, p, q)) for p in ps for q in qs]
 
 
 class TestFlagParsing:
@@ -98,19 +116,31 @@ class TestScanCommand:
         )
         assert code == 2 and "--c" in err
 
-    def test_byte_identical_across_thread_counts(self, tmp_path, capsys, monkeypatch):
-        outputs = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("CGM_THREADS", threads)
-            csv = tmp_path / f"scan{threads}.csv"
-            svg = tmp_path / f"scan{threads}.svg"
-            code, _, _ = run_cli(
-                capsys, "scan", "--p-range=-9:3:0.5", "--q-range=-3:3:0.5",
-                "--n", "2", "--predicate", "gamma_prime", "--csv", str(csv), "--svg", str(svg),
-            )
-            assert code == 0
-            outputs.append((csv.read_bytes(), svg.read_bytes()))
+    def test_byte_identical_to_per_cell_rule(self, tmp_path, capsys):
+        # the CLI's column kernel against the per-cell rule, written by the same writers
+        csv, svg = tmp_path / "scan.csv", tmp_path / "scan.svg"
+        code, _, _ = run_cli(
+            capsys, "scan", "--p-range=-9:3:0.5", "--q-range=-3:3:0.5",
+            "--n", "2", "--predicate", "gamma_prime", "--csv", str(csv), "--svg", str(svg),
+        )
+        assert code == 0
+        spec = ScanSpec((-9, 3, Fraction(1, 2)), (-3, 3, Fraction(1, 2)), 2, None, "gamma_prime")
+        cells = per_cell_scan(spec)
+        write_scan_csv(str(tmp_path / "cell.csv"), spec, cells)
+        write_scan_svg(str(tmp_path / "cell.svg"), spec, cells)
+        outputs = [(csv.read_bytes(), svg.read_bytes())]
+        outputs.append(((tmp_path / "cell.csv").read_bytes(), (tmp_path / "cell.svg").read_bytes()))
         assert outputs[0] == outputs[1]
+
+    def test_reports_exact_path_count(self, tmp_path, capsys):
+        csv = tmp_path / "gamma.csv"
+        code, out, err = run_cli(
+            capsys, "scan", *TestByteIdentity.GRID, "--predicate", "gamma", "--csv", str(csv),
+        )
+        assert code == 0
+        assert out == f"wrote 425 cells to {csv}\n"
+        match = re.fullmatch(r"scan: 425 cells, (\d+) on the exact per-cell path\n", err)
+        assert match and int(match.group(1)) > 0  # the cells on p + q = 1 are ties
 
     def test_csv_round_trip(self, tmp_path, capsys):
         csv = tmp_path / "round.csv"
@@ -162,6 +192,45 @@ class TestScanCommand:
             "--n", "3", "--predicate", "gamma", "--csv", str(tmp_path / "x.csv"),
         )
         assert code == 2 and "cell limit" in err
+
+
+class TestScanKernel:
+    """run_scan's column kernel gives the per-cell rule's value on every cell.
+
+    The grids put nodes on the lines p + q = 1 and 2p + q = 0, on the axis
+    q = 0, on the p cuts and on the hyperbola q = lambda(p).  At (-3, 32/5),
+    (-26/7, 44/5), (-20/7, 6) and (-16/7, 23/5) the float q equals the
+    rounded lambda(p) but not lambda(p): only the exact tie path gets the
+    cells in the sevenths grid right.
+    """
+
+    GRIDS = {
+        "sevenths_fifths": ((Fraction(-26, 7), -2, Fraction(1, 7)), (4, 9, Fraction(1, 5))),
+        "thirds": ((-3, 3, Fraction(1, 3)), (-2, 3, Fraction(1, 3))),
+        "twentieths": ((1, Fraction(5, 2), Fraction(1, 20)), (Fraction(-3, 10), 0, Fraction(1, 20))),
+        "dyadic": ((-8, 3, Fraction(1, 2)), (-2, 10, 1)),
+    }
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    def test_kernel_matches_per_cell_rule(self, grid):
+        p_range, q_range = self.GRIDS[grid]
+        specs = [
+            ScanSpec(p_range, q_range, n, None, predicate)
+            for n in (2, 3) for predicate in ("gamma", "gamma_prime", "vertical_positive")
+        ]
+        specs += [
+            ScanSpec(p_range, q_range, n, c, predicate)
+            for n in (2, 3) for c in (-1, 0, Fraction(1, 3), 1, Fraction(16, 3), 6)
+            for predicate in ("delta", "delta_prime", "scalar_sufficient")
+        ]
+        for spec in specs:
+            got, want = run_scan(spec), per_cell_scan(spec)
+            bad = [(g, w) for g, w in zip(got, want) if repr(g) != repr(w)]
+            assert len(got) == len(want) and not bad, (spec, bad[:3])
+
+    def test_delta_without_c_is_nan(self):
+        spec = ScanSpec((0, 2, 1), (-1, 1, 1), 3, None, "delta_prime")
+        assert all(math.isnan(v) for _, _, v in run_scan(spec))
 
 
 class TestCurvatureCommand:
