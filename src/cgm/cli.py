@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -72,38 +73,17 @@ class ScanSpec:
         return [lo + k * step for k in range(self.axis_count(which))]
 
 
-PREDICATES = ("gamma", "gamma_prime", "delta", "delta_prime", "scalar_sufficient", "vertical_positive")
-
-
-def _cell_value(spec: ScanSpec, p: float, q: float) -> float:
-    if spec.predicate not in PREDICATES:
-        raise ValueError(spec.predicate)
-    params = Params(p, q)
-    if spec.predicate == "vertical_positive":
-        return 1.0 if rg.vertical_positivity(params, spec.n) else 0.0
-    if spec.predicate == "scalar_sufficient":
-        return 1.0 if rg.scalar_pos_sufficient(params, spec.n, spec.c) is not None else 0.0
-    c = spec.c if spec.predicate.startswith("delta") else None  # Gamma does not depend on c
-    v = getattr(classify(params, spec.n, c), "in_" + spec.predicate)
-    return math.nan if v is None else (1.0 if v else 0.0)
-
-
 def _scan(spec: ScanSpec) -> tuple[list[tuple[float, float, float]], int]:
-    """The cells of :func:`run_scan` by :func:`regions.scan_column`, and how many were ties."""
+    """The cells of :func:`run_scan` by :func:`regions.column_values`, and how many were ties."""
     if spec.axis_count("p") * spec.axis_count("q") > MAX_GRID_CELLS:
         raise ValueError("grid exceeds the 1e7 cell limit")
-    if spec.predicate not in PREDICATES:
-        raise ValueError(spec.predicate)
     q_vals = [float(v) for v in spec.axis("q")]
     q_axis = np.array(q_vals)
     cells, exact = [], 0
     for p in [float(v) for v in spec.axis("p")]:
-        inside, tie = rg.scan_column(spec.predicate, Fraction(p), q_axis, spec.n, spec.c)
-        column = [(p, q, 1.0 if v else 0.0) for q, v in zip(q_vals, inside.tolist())]
-        for j in np.flatnonzero(tie).tolist():  # the per-cell rule decides the ties
-            column[j] = (p, q_vals[j], _cell_value(spec, p, q_vals[j]))
-            exact += 1
-        cells += column
+        values, ties = rg.column_values(spec.predicate, p, q_axis, spec.n, spec.c)
+        cells += [(p, q, v) for q, v in zip(q_vals, values)]
+        exact += ties
     return cells, exact
 
 
@@ -249,8 +229,11 @@ def cmd_find_params(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    results = run_suites(names, seed=args.seed, tol_scale=args.tol_scale)
+    results = []
+    for name in list(SUITES) if args.suite == "all" else [args.suite]:
+        t0, k0 = time.perf_counter(), len(results)
+        results += run_suites([name], seed=args.seed, tol_scale=args.tol_scale)
+        print(f"verify: {name} {len(results) - k0} checks in {time.perf_counter() - t0:.1f} s", file=sys.stderr)
     for res in results:
         print(json.dumps(res.as_dict()))
     return 0 if all(r.ok for r in results) else 1
@@ -275,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--q-range", type=parse_range, required=True, metavar="LO:HI:STEP")
     sc.add_argument("--n", type=int, required=True)
     sc.add_argument("--c", type=parse_number, default=None)
-    sc.add_argument("--predicate", choices=PREDICATES, required=True)
+    sc.add_argument("--predicate", choices=rg.SCAN_PREDICATES, required=True)
     sc.add_argument("--csv", required=True)
     sc.add_argument("--svg", default=None)
     sc.set_defaults(func=cmd_scan)

@@ -249,6 +249,8 @@ def scan_column(predicate: str, p: Fraction, q: np.ndarray, n: int, c: Optional[
         rule_n = {"gamma": 3, "gamma_prime": 2}.get(predicate, n)  # Gamma is the n >= 3 rule
         return _vertical_positive(p, col, rule_n), col.tie
     if predicate == "scalar_sufficient":
+        if c is None:
+            raise TypeError("scalar_sufficient needs the base curvature c, got None")
         if _x(c) == 0:
             return _vertical_positive(p, col, n), col.tie
         # each case needs p = 1 < q, q = 0, p + q = 1 > p or (n = 2) q < 0 < p - 1: all are ties
@@ -259,6 +261,30 @@ def scan_column(predicate: str, p: Fraction, q: np.ndarray, n: int, c: Optional[
     if c is None or _x(c) < 0:  # without c every cell is a tie (NaN), below 0 none is inside
         return outside, ~outside if c is None else col.tie
     return _delta_pair(p, col, _x(c))[predicate == "delta_prime"], col.tie
+
+
+SCAN_PREDICATES = ("gamma", "gamma_prime", "delta", "delta_prime", "scalar_sufficient", "vertical_positive")
+
+
+def cell_value(predicate: str, p: float, q: float, n: int, c: Optional[Number] = None) -> float:
+    """The per-cell rule of a scan: 1.0 inside, 0.0 outside, NaN for Delta without c."""
+    if predicate not in SCAN_PREDICATES:
+        raise ValueError(predicate)
+    if predicate == "vertical_positive":
+        return 1.0 if vertical_positivity(Params(p, q), n) else 0.0
+    if predicate == "scalar_sufficient":
+        return 1.0 if scalar_pos_sufficient(Params(p, q), n, c) is not None else 0.0
+    v = getattr(classify(Params(p, q), n, c if predicate.startswith("delta") else None), "in_" + predicate)
+    return math.nan if v is None else (1.0 if v else 0.0)
+
+
+def column_values(predicate: str, p: float, q: np.ndarray, n: int, c: Optional[Number]) -> tuple[list, int]:
+    """A scan column by :func:`scan_column`, its ties decided by :func:`cell_value`; and the tie count."""
+    inside, tie = scan_column(predicate, Fraction(p), q, n, c)
+    values, ties = [1.0 if v else 0.0 for v in inside.tolist()], np.flatnonzero(tie).tolist()
+    for j in ties:
+        values[j] = cell_value(predicate, p, float(q[j]), n, c)
+    return values, len(ties)
 
 
 # ---------------------------------------------------------------------------
@@ -381,19 +407,22 @@ def radial_planes(params: Params, c: float, t: np.ndarray) -> RadialPlanes:
     """The radial plane families over a curvature-c space form, at radii t."""
     p, q = float(params.p), float(params.q)
     cs = coefficients(params, t, 2)
-    w = omega(t)
+    w_p, lift = omega(t) ** p, (1.0 + t) ** p
     return RadialPlanes(
-        hh=c - 0.75 * c * c * w**p * t,
-        hv=0.25 * c * c * w**p * t,
-        vv_through=(1.0 + t) ** p * (cs.A * t + cs.B) / (1.0 + q * t),
-        vv_perp=(1.0 + t) ** p * cs.B,
+        hh=c - 0.75 * c * c * w_p * t,
+        hv=0.25 * c * c * w_p * t,
+        vv_through=lift * (cs.A * t + cs.B) / (1.0 + q * t),
+        vv_perp=lift * cs.B,
     )
 
 
-def vertical_curvature_minimum(
-    params: Params, n: int, samples: int = 10000, seed: int = 0
-) -> float:
-    """Minimum sectional curvature of vertical 2-planes over sampled radii.
+def vertical_curvature_minimum(params: Params, n: int, samples: int = 10000, seed: int = 0) -> float:
+    """Minimum sectional curvature of vertical 2-planes over sampled radii."""
+    return vertical_minima(params, samples, seed)[n >= 3]
+
+
+def vertical_minima(params: Params, samples: int = 10000, seed: int = 0) -> tuple[float, float]:
+    """:func:`vertical_curvature_minimum` for n = 2 and for n >= 3, from one draw of radii.
 
     A vertical plane at radius t has curvature (1+t)^p (A u + B)/(1 + q u),
     where u in [0, t] is the squared length of the fibre point's projection
@@ -418,7 +447,7 @@ def vertical_curvature_minimum(
         t = np.concatenate([t_low, t_near])
     fam = radial_planes(params, 0.0, np.concatenate([[0.0], t]))
     k = fam.vv_through.min()
-    return float(min(k, fam.vv_perp.min()) if n >= 3 else k)
+    return float(k), float(min(k, fam.vv_perp.min()))
 
 
 def brute_force_vertical_positivity(
@@ -448,7 +477,12 @@ def _quadratic_sign_probes(coeffs: tuple, t_hi: float) -> list:
 
 
 def sectional_witness_min(params: Params, n: int, c: Number, t_count: int = 48) -> float:
-    """Minimum sectional curvature over the lifted-plane families at sampled radii.
+    """Minimum sectional curvature over the lifted-plane families at sampled radii."""
+    return witness_minima(params, c, t_count)[n >= 3]
+
+
+def witness_minima(params: Params, c: Number, t_count: int = 48) -> tuple[float, float]:
+    """:func:`sectional_witness_min` for n = 2 and for n >= 3, from one evaluation of the families.
 
     The families are those of :func:`radial_planes`; radii include the
     critical points of f, P and Q and, for q >= 0, the sign probes of P and Q
@@ -462,8 +496,7 @@ def sectional_witness_min(params: Params, n: int, c: Number, t_count: int = 48) 
     every lifted plane is nonnegative (e.g. (p,q)=(1.108,0), n=2, c=1 near
     the zero section, confirmed by finite differences); they are not probed.
     """
-    p, q = float(params.p), float(params.q)
-    cf = float(c)
+    p, q, cf = float(params.p), float(params.q), float(c)
     t_hi = 1e3 if q >= 0 else -1.0 / q * (1 - 2e-9)
     t_vals = [0.0] + list(np.geomspace(1e-6, t_hi * 0.999, t_count))
     if q < 0:
@@ -486,9 +519,8 @@ def sectional_witness_min(params: Params, n: int, c: Number, t_count: int = 48) 
     if q >= 0 and cf != 0:
         sup_f = math.inf if p < 1 else 1.0 / float(mu(p))
         mins.append(cf - 0.75 * cf * cf * sup_f)
-    if n >= 3:
-        mins.append(fam.vv_perp.min())
-    return float(min(mins))
+    low = min(mins)  # min is a left fold, so min(low, x) is min(mins + [x])
+    return float(low), float(min(low, fam.vv_perp.min()))
 
 
 # ---------------------------------------------------------------------------

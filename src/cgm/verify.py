@@ -22,6 +22,7 @@ from .scalars import (
     coefficients,
     f_sup,
     f_value,
+    hyperbola_lambda,
     hyperbola_nu,
     mu,
     multipliers,
@@ -344,14 +345,14 @@ def vertical_mismatches(seed: int = 0) -> list:
     vertical_positivity outside the 1e-7 band; point idx draws its radii from seed + idx."""
     band = 1e-7
     bad = []
+    points = [(name, p, q, rg.vertical_minima(Params(p, q), 10_000, seed + idx))
+              for name, pts in strata_parameter_points().items() for idx, (p, q) in enumerate(pts)]
     for n in (2, 3):
-        for name, pts in strata_parameter_points().items():
-            for idx, (p, q) in enumerate(pts):
-                params = Params(p, q)
-                cl = rg.vertical_positivity(params, n)
-                bmin = rg.vertical_curvature_minimum(params, n, 10_000, seed + idx)
-                if cl != (bmin > 0) and abs(bmin) > band:
-                    bad.append((n, name, p, q, bmin, cl))
+        for name, p, q, minima in points:
+            cl = rg.vertical_positivity(Params(p, q), n)
+            bmin = minima[n >= 3]
+            if cl != (bmin > 0) and abs(bmin) > band:
+                bad.append((n, name, p, q, bmin, cl))
     return bad
 
 
@@ -360,17 +361,31 @@ def witness_mismatches(seed: int = 0, sound_tol: float = 1e-9) -> list:
     nonneg_sectional: "sound" below -sound_tol, "complete" at or above -1e-9."""
     bad = []
     for c in (0, 1, Fraction(16, 3), 6):
-        pts = nonneg_witness_points(float(c), seed)
+        pts = [(p, q, rg.witness_minima(Params(p, q), float(c))) for p, q in nonneg_witness_points(float(c), seed)]
         for n in (2, 3):
-            for p, q in pts:
-                params = Params(p, q)
-                verdict = rg.nonneg_sectional(params, n, c)
-                m = rg.sectional_witness_min(params, n, float(c))
+            for p, q, minima in pts:
+                verdict = rg.nonneg_sectional(Params(p, q), n, c)
+                m = minima[n >= 3]
                 if verdict and m < -sound_tol:
                     bad.append(("sound", n, float(c), p, q, m))
                 if not verdict and 2 * p + q >= 0 and m >= -1e-9:
                     bad.append(("complete", n, float(c), p, q, m))
     return bad
+
+
+DELTA_C = (6, Fraction(16, 3), 1, 0)
+
+
+def delta_grid_verdicts(p_axis, q_axis: np.ndarray) -> tuple[dict, int]:
+    """n = 3 verdicts on p_axis x q_axis by :func:`regions.column_values`, a boolean [p, q] array
+    per key (gamma | gamma_prime, None) and (delta | delta_prime, c), c in DELTA_C; and the tie count."""
+    keys = [("gamma", None), ("gamma_prime", None)] + [(d, c) for c in DELTA_C for d in ("delta", "delta_prime")]
+    grid, ties = {}, 0
+    for predicate, c in keys:
+        columns = [rg.column_values(predicate, float(p), q_axis, 3, c) for p in p_axis]
+        grid[predicate, c] = np.array([values for values, _ in columns]) == 1.0
+        ties += sum(t for _, t in columns)
+    return grid, ties
 
 
 def suite_regions(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]:
@@ -387,25 +402,20 @@ def suite_regions(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]:
         )
     )
 
-    # Delta monotonicity in c, and subset relations
-    mono = subset = closure = True
+    # Delta monotonicity in c, subset relations, and Delta_0 \ Gamma (the closure curves) next to Gamma
+    p_axis, q_axis = np.linspace(-9, 4, 100), np.linspace(-4, 4, 100)
+    grid, _ = delta_grid_verdicts(p_axis, q_axis)
+    deltas = [grid["delta", c] for c in DELTA_C]
+    mono = not any((narrow & ~wide).any() for narrow, wide in zip(deltas, deltas[1:]))
+    subset = not (grid["gamma", None] & ~grid["gamma_prime", None]).any()
+    subset &= not any((grid["delta", c] & ~grid["delta_prime", c]).any() for c in DELTA_C)
+    edge = [(p_axis[i], q_axis[j]) for i, j in np.argwhere(grid["delta", 0] & ~grid["gamma", None]).tolist()]
+    eighths = [Fraction(k, 8) for k in range(-72, 33)]
+    curves = {(p, hyperbola_lambda(p)) for p in eighths if p != -8} | {(p, -2 * p) for p in eighths}
+    verdicts = [(p, q, rg.classify(Params(p, q), 3, 0)) for p, q in sorted(curves)]
+    edge += [(p, q) for p, q, v in verdicts if v.in_delta and not v.in_gamma]
     probes = [(1e-6, 0.0), (-1e-6, 0.0), (0.0, 1e-6), (0.0, -1e-6), (1e-6, 1e-6), (-1e-6, 1e-6)]
-    for p in np.linspace(-9, 4, 100):
-        for q in np.linspace(-4, 4, 100):
-            params = Params(p, q)
-            v1 = rg.classify(params, 3, 6)
-            v2 = rg.classify(params, 3, Fraction(16, 3))
-            v3 = rg.classify(params, 3, 1)
-            v0 = rg.classify(params, 3, 0)
-            mono &= (not v1.in_delta or v2.in_delta) and (not v2.in_delta or v3.in_delta)
-            mono &= not v3.in_delta or v0.in_delta
-            subset &= not v0.in_gamma or v0.in_gamma_prime
-            for v in (v0, v1, v2, v3):
-                subset &= (not v.in_delta) or v.in_delta_prime
-            if v3.in_delta and not v3.in_gamma:
-                closure &= any(
-                    rg.classify(Params(p + dp, q + dq), 3).in_gamma for dp, dq in probes
-                )
+    closure = all(any(rg.classify(Params(p + dp, q + dq), 3).in_gamma for dp, dq in probes) for p, q in edge)
     out.append(_check_bool("delta_monotone_in_c", mono))
     out.append(_check_bool("subset_relations", subset))
     out.append(_check_bool("delta_in_gamma_closure", closure))

@@ -11,7 +11,6 @@ import pytest
 
 from cgm.cli import (
     ScanSpec,
-    _cell_value,
     main,
     parse_number,
     parse_range,
@@ -19,6 +18,7 @@ from cgm.cli import (
     write_scan_csv,
     write_scan_svg,
 )
+from cgm.regions import cell_value
 
 
 def run_cli(capsys, *argv):
@@ -29,6 +29,10 @@ def run_cli(capsys, *argv):
 
 def last_json(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
+
+
+def _cell_value(spec: ScanSpec, p: float, q: float) -> float:
+    return cell_value(spec.predicate, p, q, spec.n, spec.c)
 
 
 def per_cell_scan(spec: ScanSpec) -> list:
@@ -232,6 +236,11 @@ class TestScanKernel:
         spec = ScanSpec((0, 2, 1), (-1, 1, 1), 3, None, "delta_prime")
         assert all(math.isnan(v) for _, _, v in run_scan(spec))
 
+    def test_scalar_sufficient_without_c_names_c(self):
+        spec = ScanSpec((0, 2, Fraction(1, 2)), (-1, 1, Fraction(1, 2)), 3, None, "scalar_sufficient")
+        with pytest.raises(TypeError, match="base curvature c"):
+            run_scan(spec)
+
 
 class TestCurvatureCommand:
     def header_and_rows(self, out):
@@ -374,6 +383,11 @@ class TestVerifyCommand:
         assert all(r["status"] == "pass" for r in records.values())
         assert "C_2 >= 40" in records["interval_h11_n2_upper_reported"]["detail"]
         assert "C_3 > 60" in records["interval_h11_n3_upper_reported"]["detail"]
+
+    def test_suite_timing_on_stderr(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "identities")
+        assert code == 0 and len(out.strip().splitlines()) == 10
+        assert re.fullmatch(r"verify: identities 10 checks in \d+\.\d s\n", err)
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "--suite", "identities", "--seed", "7")

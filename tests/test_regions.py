@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from cgm.curvature import BaseCurvature, FiberPoint, LiftVector, sectional_plane
 from cgm.scalars import Params, hyperbola_lambda, mu, poly_G
+from cgm.verify import DELTA_C, delta_grid_verdicts
 from cgm.regions import (
     brute_force_vertical_positivity,
     classify,
@@ -328,3 +329,40 @@ def test_classify_record_digest():
                 nonneg = None if c is None else nonneg_sectional(params, n, c)
                 h.update(f"{c},{rec},{nonneg}\n".encode())
     assert h.hexdigest() == "8a00ed91ee23e2a4141c0ccc85870495e0c282799730532339ad9ce119b26003"
+
+
+def test_plane_family_minima_digest():
+    # sha256 of repr of the sampled vertical minimum and the lifted-plane
+    # witness minimum at 200 seeded points (every fifth on q = 0, every seventh
+    # on p + q = 1), n = 2 and 3; the digest was recorded before the two
+    # dimensions shared one family evaluation per point
+    rng = np.random.default_rng(23)
+    h = hashlib.sha256()
+    for k in range(200):
+        p, q = rng.uniform(-9, 4), rng.uniform(-4, 4)
+        q = 0.0 if k % 5 == 0 else (1 - p if k % 7 == 0 else q)
+        params, c = Params(p, q), (0, 1, 16 / 3, 6)[k % 4]
+        for n in (2, 3):
+            pair = (vertical_curvature_minimum(params, n, 10_000, k), sectional_witness_min(params, n, c))
+            h.update(f"{p!r},{q!r},{n},{pair!r}\n".encode())
+    assert h.hexdigest() == "305ae5d9f35940324495bfe0eee5bfb4fcf6356c0813fbab65b67ecf6d2979f8"
+
+
+@pytest.mark.parametrize("p_axis, q_axis", [
+    ([k / 8 for k in range(-24, 25)], np.arange(-16, 17) / 8),
+    ([float(Fraction(-26, 7) + Fraction(k, 7)) for k in range(13)], 4 + np.arange(26) / 5),
+], ids=["eighths", "sevenths_fifths"])
+def test_delta_grid_verdicts_match_classify(p_axis, q_axis):
+    # the eighths put q = 0, q = 1 - p and q = -2p on grid nodes, the sevenths x
+    # fifths put float(lambda(p)) there: only the tie path decides those cells
+    grid, ties = delta_grid_verdicts(p_axis, q_axis)
+    assert ties > 0
+    for i, p in enumerate(p_axis):
+        for j, q in enumerate(q_axis):
+            for c in DELTA_C:
+                v = classify(Params(p, q), 3, c)
+                want = {"gamma": v.in_gamma, "gamma_prime": v.in_gamma_prime}
+                want.update(delta=v.in_delta, delta_prime=v.in_delta_prime)
+                for predicate, inside in want.items():
+                    key = (predicate, None if predicate.startswith("gamma") else c)
+                    assert grid[key][i, j] == inside, (p, q, c, predicate)
