@@ -15,6 +15,9 @@ normal frame.
 The metric and the curvature operator (``metric_h``, ``riemann``,
 ``riemann_full``) broadcast over leading batch axes of the frame vectors when
 the base is a space form: components of shape (m, n) give m values at once.
+On space forms the batch may also carry one point per row: parameters p, q
+and curvature c of shape (m, 1) and fibre points e of shape (m, n).  A base
+from ``BaseCurvature.custom`` is evaluated one sample at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import numpy as np
 from .scalars import (
     DomainError,
     Params,
+    as_float,
     check_fiber_radius,
     coefficients,
     omega,
@@ -48,14 +52,14 @@ def _dot(U: np.ndarray, V: np.ndarray):
 
 @dataclass
 class FiberPoint:
-    """A point e of the ball bundle in base-orthonormal coordinates."""
+    """A point e of the ball bundle in base-orthonormal coordinates; e of shape (m, n) holds m points."""
 
     e: np.ndarray
-    t: float = field(init=False)
+    t: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.e = np.asarray(self.e, dtype=float)
-        self.t = float(self.e @ self.e)
+        self.t = float(self.e @ self.e) if self.e.ndim == 1 else _dot(self.e, self.e)
 
     @classmethod
     def zero(cls, n: int) -> "FiberPoint":
@@ -69,7 +73,7 @@ class FiberPoint:
 
     @property
     def n(self) -> int:
-        return self.e.shape[0]
+        return self.e.shape[-1]
 
 
 @dataclass
@@ -114,7 +118,7 @@ class BaseCurvature:
     (nabla_W R)(X,Y)Z and ``delta_op(X, e)`` the coderivative vector whose
     pairing with Y gives the horizontal-vertical Ricci; both vanish for space
     forms and default to None for custom bases.  The space-form operators
-    broadcast over leading batch axes.
+    broadcast over leading batch axes, and c may hold one value per row.
     """
 
     kind: str
@@ -124,8 +128,8 @@ class BaseCurvature:
     delta_op: Optional[Callable] = None
 
     @classmethod
-    def space_form(cls, c: float) -> "BaseCurvature":
-        c = float(c)
+    def space_form(cls, c: float | np.ndarray) -> "BaseCurvature":
+        c = as_float(c)
 
         def r_op(X, Y, Z):
             return c * (_dot(Y, Z) * X - _dot(X, Z) * Y)
@@ -171,8 +175,8 @@ def metric_h(params: Params, e: FiberPoint, A: LiftVector, B: LiftVector) -> flo
     """
     check_fiber_radius(params, e.t)
     w = omega(e.t)
-    q = float(params.q)
-    val = _dot(A.h, B.h) + w ** float(params.p) * (
+    q = as_float(params.q)
+    val = _dot(A.h, B.h) + w ** as_float(params.p) * (
         _dot(A.v, B.v) + q * _dot(A.v, e.e) * _dot(B.v, e.e)
     )
     return float(val) if np.ndim(val) == 0 else val[..., 0]
@@ -234,7 +238,7 @@ def riemann(
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    p, q = float(params.p), float(params.q)
+    p, q = as_float(params.p), as_float(params.q)
     w = omega(e.t)
     wq = omega_q(e.t, params)
     ev = e.e

@@ -33,7 +33,6 @@ import numpy as np
 from .scalars import (
     Params,
     analysis_scalars,
-    coefficients,
     hyperbola_lambda,
     hyperbola_nu,
     mu,
@@ -44,6 +43,7 @@ from .scalars import (
     poly_P,
     poly_Q,
     scalar_curvature_spaceform,
+    weights_AB,
 )
 
 Number = Union[int, float, Fraction]
@@ -405,15 +405,15 @@ class RadialPlanes(NamedTuple):
 
 def radial_planes(params: Params, c: float, t: np.ndarray) -> RadialPlanes:
     """The radial plane families over a curvature-c space form, at radii t."""
-    p, q = float(params.p), float(params.q)
-    cs = coefficients(params, t, 2)
-    w_p, lift = omega(t) ** p, (1.0 + t) ** p
-    return RadialPlanes(
-        hh=c - 0.75 * c * c * w_p * t,
-        hv=0.25 * c * c * w_p * t,
-        vv_through=lift * (cs.A * t + cs.B) / (1.0 + q * t),
-        vv_perp=lift * cs.B,
-    )
+    w_p = omega(t) ** float(params.p)
+    return RadialPlanes(c - 0.75 * c * c * w_p * t, 0.25 * c * c * w_p * t, *_vertical_planes(params, t))
+
+
+def _vertical_planes(params: Params, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The families ``vv_through`` and ``vv_perp`` of :func:`radial_planes` at radii t."""
+    _, _, A, B = weights_AB(params, t)
+    lift = (1.0 + t) ** float(params.p)
+    return lift * (A * t + B) / (1.0 + float(params.q) * t), lift * B
 
 
 def vertical_curvature_minimum(params: Params, n: int, samples: int = 10000, seed: int = 0) -> float:
@@ -445,9 +445,9 @@ def vertical_minima(params: Params, samples: int = 10000, seed: int = 0) -> tupl
         t_low = np.exp(rng.uniform(math.log(1e-9), math.log(tb * 0.9), k))
         t_near = tb * (1.0 - 10.0 ** rng.uniform(-6, -0.05, m - k))
         t = np.concatenate([t_low, t_near])
-    fam = radial_planes(params, 0.0, np.concatenate([[0.0], t]))
-    k = fam.vv_through.min()
-    return float(k), float(min(k, fam.vv_perp.min()))
+    through, perp = _vertical_planes(params, np.concatenate([[0.0], t]))
+    k = through.min()
+    return float(k), float(min(k, perp.min()))
 
 
 def brute_force_vertical_positivity(

@@ -8,7 +8,8 @@ and the auxiliary functions mu, lambda, nu and the case multipliers m1..m5.
 
 The weights, the coefficients, phi and the scalar curvature also accept a
 numpy array of radii and evaluate elementwise, in the same order of
-operations as for a scalar radius.
+operations as for a scalar radius.  The domain check, the weights and the
+coefficients also accept float arrays of p and q (shape (m, 1): one point per row).
 
 Polynomial coefficients are expanded in exact rational arithmetic whenever the
 inputs are rational (int / Fraction); float inputs propagate as floats.  Sign
@@ -56,47 +57,44 @@ class Params:
 
     def __post_init__(self):
         for v in (self.p, self.q):
-            if not math.isfinite(float(v)):
+            if not (np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(float(v))):
                 raise ValueError("parameters must be finite")
 
     def contains_t(self, t: Number) -> bool:
         return t >= 0 and float(self.q) * float(t) > -1.0 + EPS_DOM
 
 
-def _radius(t: Radius) -> Radius:
-    """A scalar radius as a float; an array of radii as it is."""
-    return t if isinstance(t, np.ndarray) else float(t)
-
-
-def _extremes(t: Radius) -> tuple:
-    """Smallest and largest of the radii (both t itself for a scalar)."""
-    if isinstance(t, np.ndarray):
-        return t.min(initial=0.0), t.max(initial=0.0)
-    return t, t
+def as_float(x: Radius) -> Radius:
+    """A scalar as a float; an array as it is."""
+    return x if isinstance(x, np.ndarray) else float(x)
 
 
 def check_fiber_radius(params: Params, t: Radius) -> None:
-    lo, hi = _extremes(t)
-    if lo < 0:
-        raise DomainError(f"t = {lo} must be non-negative")
-    if not params.contains_t(hi):
-        raise DomainError(
-            f"q*t = {float(params.q) * float(hi)} <= -1 + {EPS_DOM}: outside the ball bundle"
-        )
+    """Raise DomainError unless t >= 0 and q t > -1 + EPS_DOM, naming the first array row that fails."""
+    q = as_float(params.q)
+    if not isinstance(q, np.ndarray) and not isinstance(t, np.ndarray):
+        if not params.contains_t(t):
+            raise DomainError(f"q = {q}, t = {t} outside the ball bundle")
+        return
+    ok = (t >= 0) & (q * t > -1.0 + EPS_DOM)
+    if not ok.all():
+        q, t = np.broadcast_arrays(q, t)
+        i = tuple(np.argwhere(~ok)[0])
+        raise DomainError(f"row {i[0]}: q = {q[i]}, t = {t[i]} outside the ball bundle")
 
 
 def omega(t: Radius) -> Radius:
     """Radial weight 1/(1 + t) for t = |e|^2 >= 0."""
-    lo = _extremes(t)[0]
+    lo = t.min(initial=0.0) if isinstance(t, np.ndarray) else t
     if lo < 0:
         raise DomainError(f"t = {lo} must be non-negative")
-    return 1.0 / (1.0 + _radius(t))
+    return 1.0 / (1.0 + as_float(t))
 
 
 def omega_q(t: Radius, params: Params) -> Radius:
     """Deformed weight 1/(1 + q t), positive on the ball bundle."""
     check_fiber_radius(params, t)
-    return 1.0 / (1.0 + float(params.q) * _radius(t))
+    return 1.0 / (1.0 + as_float(params.q) * as_float(t))
 
 
 @dataclass(frozen=True)
@@ -113,6 +111,17 @@ class CoefficientSet:
     beta: Radius
 
 
+def weights_AB(params: Params, t: Radius) -> tuple:
+    """The weights omega, omega_q and the coefficients A, B of :func:`coefficients` at radii t."""
+    check_fiber_radius(params, t)
+    p, q = as_float(params.p), as_float(params.q)
+    w = omega(t)
+    wq = omega_q(t, params)
+    A = p * w * wq * ((p + 2 * q - 2) * w - q)
+    B = wq * (p * p * w * w - p * (p - 2) * w + q)
+    return w, wq, A, B
+
+
 def coefficients(params: Params, t: Radius, n: int) -> CoefficientSet:
     """Evaluate A, B, C, alpha, beta at squared fibre radius t (scalar or array).
 
@@ -123,14 +132,10 @@ def coefficients(params: Params, t: Radius, n: int) -> CoefficientSet:
     """
     if n < 2:
         raise ValueError("n >= 2 required")
-    check_fiber_radius(params, t)
-    p, q = float(params.p), float(params.q)
-    w = omega(t)
-    wq = omega_q(t, params)
-    A = p * w * wq * ((p + 2 * q - 2) * w - q)
-    B = wq * (p * p * w * w - p * (p - 2) * w + q)
+    w, wq, A, B = weights_AB(params, t)
+    p, q = as_float(params.p), as_float(params.q)
     C = wq * wq * (p * (p - 2) * (1 - q) * w * w + p * q * (p - 3) * w - q * q)
-    alpha = _radius(t) * wq * A + (n - 2 + wq) * B
+    alpha = as_float(t) * wq * A + (n - 2 + wq) * B
     beta = (n - 1 - wq) * A + q * wq * B
     return CoefficientSet(A, B, C, alpha, beta)
 
@@ -391,5 +396,5 @@ def scalar_curvature_spaceform(params: Params, n: int, c: Number, t: Radius) -> 
     if n < 2:
         raise ValueError("n >= 2 required")
     check_fiber_radius(params, t)
-    c, t = float(c), _radius(t)
+    c, t = float(c), as_float(t)
     return (n - 1) * (n * c - 0.5 * c * c * f_value(t, float(params.p)) + phi(params, n, t))

@@ -370,6 +370,12 @@ class TestVerifyCommand:
             record = json.loads(line)
             assert record["status"] == "pass"
             assert set(record) >= {"name", "status", "max_err"}
+            if record["max_err"] is None:  # boolean checks carry no tolerance
+                assert "tol" not in record and "headroom" not in record
+            elif record["max_err"] == 0:
+                assert record["headroom"] is None and record["tol"] >= 0
+            else:
+                assert record["headroom"] == record["tol"] / record["max_err"] >= 1
 
     def test_forced_failure_exit_1(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "identities", "--tol-scale", "1e-30")
