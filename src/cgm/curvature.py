@@ -372,13 +372,13 @@ def sectional_plane(
     B: LiftVector,
     base: BaseCurvature,
 ) -> float:
-    """Sectional curvature of an arbitrary 2-plane span(A, B) in the total space."""
+    """Sectional curvature of an arbitrary 2-plane span(A, B) in the total space (or a batch)."""
     num = metric_h(params, e, riemann_full(params, e, A, B, B, base), A)
     gram = (
         metric_h(params, e, A, A) * metric_h(params, e, B, B)
         - metric_h(params, e, A, B) ** 2
     )
-    if gram <= 0:
+    if np.any(gram <= 0):
         raise ValueError("A, B do not span a non-degenerate 2-plane")
     return num / gram
 
@@ -491,8 +491,4 @@ def sectional_batch_spaceform(
     The inputs are (m, n) arrays of horizontal and vertical components; the
     result is an (m,) array: :func:`sectional_plane` over the batch axis.
     """
-    base = BaseCurvature.space_form(c)
-    A, B = LiftVector(Ah, Av), LiftVector(Bh, Bv)
-    num = metric_h(params, e, riemann_full(params, e, A, B, B, base), A)
-    gram = metric_h(params, e, A, A) * metric_h(params, e, B, B) - metric_h(params, e, A, B) ** 2
-    return num / gram
+    return sectional_plane(params, e, LiftVector(Ah, Av), LiftVector(Bh, Bv), BaseCurvature.space_form(c))

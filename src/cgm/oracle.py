@@ -52,10 +52,8 @@ class Chart:
         x = np.asarray(x, dtype=float)
         if self.kind == "flat":
             return np.eye(self.n)
-        r2 = float(x @ x)
-        if self.kind == "stereographic_sphere":
-            return (1.0 / self.c) * (2.0 / (1.0 + r2)) ** 2 * np.eye(self.n)
-        return (1.0 / abs(self.c)) * (2.0 / (1.0 - r2)) ** 2 * np.eye(self.n)
+        r2 = math.copysign(float(x @ x), self.c)  # 1 + |x|^2 on the sphere, 1 - |x|^2 on the ball
+        return (1.0 / abs(self.c)) * (2.0 / (1.0 + r2)) ** 2 * np.eye(self.n)
 
     def in_domain(self, x: np.ndarray) -> bool:
         return float(np.linalg.norm(x)) <= self.radius
@@ -76,17 +74,16 @@ class TMPoint:
         return np.concatenate([self.x, self.u])
 
 
+def _central_differences(f: Callable, pt: np.ndarray, step: float) -> np.ndarray:
+    """The derivatives of f along each coordinate of pt, stacked on a new first axis."""
+    return np.array([(f(pt + e) - f(pt - e)) / (2 * step) for e in step * np.eye(pt.size)])
+
+
 def fd_christoffel(metric_field: Callable, pt: np.ndarray, step: float = DEFAULT_FIRST_STEP) -> np.ndarray:
     """Christoffel symbols Gamma^a_{bc} of a metric field by central differences."""
     pt = np.asarray(pt, dtype=float)
-    m = pt.size
-    g = metric_field(pt)
-    ginv = np.linalg.inv(g)
-    dg = np.empty((m, m, m))
-    for b in range(m):
-        e = np.zeros(m)
-        e[b] = step
-        dg[b] = (metric_field(pt + e) - metric_field(pt - e)) / (2 * step)
+    ginv = np.linalg.inv(metric_field(pt))
+    dg = _central_differences(metric_field, pt, step)
     T = dg + np.einsum("cbd->bdc", dg) - np.einsum("dbc->bdc", dg)
     return 0.5 * np.einsum("ad,bdc->abc", ginv, T)
 
@@ -99,14 +96,9 @@ def fd_riemann(
 ) -> np.ndarray:
     """Riemann tensor R^a_{bcd} by nested central differences of Gamma."""
     pt = np.asarray(pt, dtype=float)
-    m = pt.size
     gamma = lambda z: fd_christoffel(metric_field, z, christoffel_step)
     G0 = gamma(pt)
-    dG = np.empty((m, m, m, m))
-    for cidx in range(m):
-        e = np.zeros(m)
-        e[cidx] = step
-        dG[cidx] = (gamma(pt + e) - gamma(pt - e)) / (2 * step)
+    dG = _central_differences(gamma, pt, step)
     return (
         np.einsum("cadb->abcd", dG)
         - np.einsum("dacb->abcd", dG)
@@ -204,6 +196,11 @@ class QuantityCheck:
     def ok(self) -> bool:
         return self.rel_err <= self.tol
 
+    @property
+    def headroom(self) -> float:
+        """tol / rel_err: how many times over the error would still pass (inf for no error)."""
+        return self.tol / self.rel_err if self.rel_err else math.inf
+
 
 @dataclass
 class ComparisonReport:
@@ -212,11 +209,15 @@ class ComparisonReport:
     records: list = field(default_factory=list)
     tolerances: dict = field(default_factory=dict)
 
-    def add(self, name: str, closed_val: float, numeric_val: float, tol: float):
-        if abs(closed_val) >= 1e-8:
-            err = abs(closed_val - numeric_val) / abs(closed_val)
+    def add(self, name: str, closed_val, numeric_val, tol: float):
+        """Record a quantity (a vector by its norms and the norm of the difference); the error
+        is relative unless the closed form is below 1e-8, then absolute."""
+        if np.ndim(closed_val):
+            size, diff = float(np.linalg.norm(closed_val)), float(np.linalg.norm(closed_val - numeric_val))
+            closed_val, numeric_val = size, float(np.linalg.norm(numeric_val))
         else:
-            err = abs(closed_val - numeric_val)
+            size, diff = abs(closed_val), abs(closed_val - numeric_val)
+        err = diff / size if size >= 1e-8 else diff
         self.records.append(QuantityCheck(name, closed_val, numeric_val, err, tol))
 
     @property
@@ -226,11 +227,41 @@ class ComparisonReport:
     def max_rel_err(self) -> float:
         return max((r.rel_err for r in self.records), default=0.0)
 
+    def tightest(self) -> Optional[QuantityCheck]:
+        """The record with the least headroom, or None for an empty report."""
+        return min(self.records, key=lambda r: r.headroom, default=None)
+
     def failures(self) -> list:
         return [r for r in self.records if not r.ok]
 
 
 DEFAULT_TOLERANCES = {"sectional": 1e-3, "ricci": 1e-3, "scalar": 1e-3, "connection": 1e-4}
+
+LIFTS = {"h": LiftVector.horizontal, "v": LiftVector.vertical}
+
+# (name, lift types of X and Y, frame indices of X and Y); a plane needs both indices below n
+SECTIONAL_PLANES = [
+    ("sectional_hh_radial", "hh", 0, 1),
+    ("sectional_hv_radial", "hv", 0, 1),
+    ("sectional_hv_vertical_radial", "hv", 1, 0),
+    ("sectional_vv_radial", "vv", 0, 1),
+    ("sectional_vv_orthogonal", "vv", 1, 2),
+]
+RICCI_CASES = [
+    ("ricci_hh", "hh", 0, 0),
+    ("ricci_hh_mixed", "hh", 0, 1),
+    ("ricci_hv", "hv", 0, 1),
+    ("ricci_vv_radial", "vv", 0, 0),
+    ("ricci_vv", "vv", 1, 1),
+]
+
+
+def _lift_coords(frame: np.ndarray, gam: np.ndarray, u: np.ndarray, lv: LiftVector) -> np.ndarray:
+    """Induced coordinates (dx, du) at fibre vector u of a lift vector in frame components:
+    dx = h and du = v - Gamma(dx, u), with gam the base Christoffels at the foot point of u."""
+    hor = np.einsum("i,ij->j", lv.h, frame)
+    ver = np.einsum("i,ij->j", lv.v, frame)
+    return np.concatenate([hor, ver - np.einsum("kij,i,j->k", gam, hor, u)])
 
 
 def compare(
@@ -264,73 +295,31 @@ def compare(
     e_frame = FiberPoint(np.array([float(pt.u @ g @ frame[i]) for i in range(n)]))
     base = BaseCurvature.space_form(chart.c)
     gam0 = fd_christoffel(chart.metric, pt.x, first_step)
-
-    def to_coords(vec_frame: np.ndarray) -> np.ndarray:
-        return np.einsum("i,ij->j", vec_frame, frame)
-
-    def lift_coords(lv: LiftVector) -> np.ndarray:
-        """Coordinate representation (dx, du) of a frame-component lift vector."""
-        hor = to_coords(lv.h)
-        ver = to_coords(lv.v)
-        du = ver - np.einsum("kij,i,j->k", gam0, hor, pt.u)
-        return np.concatenate([hor, du])
+    basis = np.eye(n)
+    # induced coordinates at pt of the kind ("h" or "v") lift of frame vector i
+    lifted = {(kind, i): _lift_coords(frame, gam0, pt.u, LIFTS[kind](basis[i]))
+              for kind in "hv" for i in range(n)}
 
     z = pt.coords()
     h_field = tm_metric_field(params, chart, first_step)
     H = h_field(z)
     Hinv = np.linalg.inv(H)
     report = ComparisonReport(tolerances=tol)
-    needs_riemann = {"sectional", "ricci", "scalar"} & set(suites)
-    if needs_riemann:
+    if {"sectional", "ricci", "scalar"} & set(suites):
         R = fd_riemann(h_field, z, nested_step, first_step)
         rho = _ricci_matrix(R, H, Hinv)
 
-    f1 = np.zeros(n); f1[0] = 1.0
-    f2 = np.zeros(n); f2[1] = 1.0
-
     if "sectional" in suites:
-        planes = [
-            ("sectional_hh_radial", "hh", f1, f2),
-            ("sectional_hv_radial", "hv", f1, f2),
-            ("sectional_hv_vertical_radial", "hv", f2, f1),
-            ("sectional_vv_radial", "vv", f1, f2),
-        ]
-        if n >= 3:
-            f3 = np.zeros(n); f3[2] = 1.0
-            planes.append(("sectional_vv_orthogonal", "vv", f2, f3))
-        for name, plane, X, Y in planes:
-            k_closed = closed.sectional(params, e_frame, plane, X, Y, base)
-            if plane == "hh":
-                A = lift_coords(LiftVector.horizontal(X))
-                B = lift_coords(LiftVector.horizontal(Y))
-            elif plane == "hv":
-                A = lift_coords(LiftVector.horizontal(X))
-                B = lift_coords(LiftVector.vertical(Y))
-            else:
-                A = lift_coords(LiftVector.vertical(X))
-                B = lift_coords(LiftVector.vertical(Y))
-            report.add(name, k_closed, numeric_sectional(R, H, A, B), tol["sectional"])
+        for name, kinds, i, j in SECTIONAL_PLANES:
+            if j < n:
+                k_closed = closed.sectional(params, e_frame, kinds, basis[i], basis[j], base)
+                k_num = numeric_sectional(R, H, lifted[kinds[0], i], lifted[kinds[1], j])
+                report.add(name, k_closed, k_num, tol["sectional"])
 
     if "ricci" in suites:
-        cases = [
-            ("ricci_hh", "hh", f1, f1),
-            ("ricci_hh_mixed", "hh", f1, f2),
-            ("ricci_hv", "hv", f1, f2),
-            ("ricci_vv_radial", "vv", f1, f1),
-            ("ricci_vv", "vv", f2, f2),
-        ]
-        for name, case, X, Y in cases:
-            r_closed = closed.ricci(params, n, e_frame, case, X, Y, base)
-            if case == "hh":
-                A = lift_coords(LiftVector.horizontal(X))
-                B = lift_coords(LiftVector.horizontal(Y))
-            elif case == "hv":
-                A = lift_coords(LiftVector.horizontal(X))
-                B = lift_coords(LiftVector.vertical(Y))
-            else:
-                A = lift_coords(LiftVector.vertical(X))
-                B = lift_coords(LiftVector.vertical(Y))
-            r_num = float(np.einsum("ca,c,a->", rho, A, B))
+        for name, kinds, i, j in RICCI_CASES:
+            r_closed = closed.ricci(params, n, e_frame, kinds, basis[i], basis[j], base)
+            r_num = float(np.einsum("ca,c,a->", rho, lifted[kinds[0], i], lifted[kinds[1], j]))
             report.add(name, r_closed, r_num, tol["ricci"])
 
     if "scalar" in suites:
@@ -339,57 +328,24 @@ def compare(
         report.add("scalar", s_closed, s_num, tol["scalar"])
 
     if "connection" in suites:
+        # nabla_A B = dB(A) + Gamma_TM(A, B): the lift field B differenced around z
         GamTM = fd_christoffel(h_field, z, first_step)
+        for suffix, i, j in (("", 0, 1), ("_swapped", 1, 0)):
+            nabla_xy_coord = np.einsum("kij,i,j->k", gam0, lifted["h", i][:n], lifted["h", j][:n])
+            nab = np.array([float(nabla_xy_coord @ g @ frame[k]) for k in range(n)])
+            for kinds in ("hh", "hv", "vh", "vv"):
+                A, B = lifted[kinds[0], i], LIFTS[kinds[1]](basis[j])
 
-        def hor_field(Xc):
-            def fld(zz):
-                gz = fd_christoffel(chart.metric, zz[:n], first_step)
-                return np.concatenate([Xc, -np.einsum("kij,i,j->k", gz, Xc, zz[n:])])
-            return fld
+                def field(zz):
+                    """B lifted over zz; a vertical lift does not read the Christoffels."""
+                    gam = fd_christoffel(chart.metric, zz[:n], first_step) if kinds[1] == "h" else gam0
+                    return _lift_coords(frame, gam, zz[n:], B)
 
-        def ver_field(Yc):
-            def fld(zz):
-                return np.concatenate([np.zeros(n), Yc])
-            return fld
-
-        def nabla_numeric(Acoord, B_field):
-            m = 2 * n
-            jac = np.empty((m, m))
-            for a in range(m):
-                ez = np.zeros(m)
-                ez[a] = first_step
-                jac[a] = (B_field(z + ez) - B_field(z - ez)) / (2 * first_step)
-            Bv = B_field(z)
-            return np.einsum("a,ac->c", Acoord, jac) + np.einsum("cab,a,b->c", GamTM, Acoord, Bv)
-
-        def hor_coord(Xc):
-            return np.concatenate([Xc, -np.einsum("kij,i,j->k", gam0, Xc, pt.u)])
-
-        def ver_coord(Yc):
-            return np.concatenate([np.zeros(n), Yc])
-
-        cases = []
-        for suffix, X, Y in (("", f1, f2), ("_swapped", f2, f1)):
-            Xc, Yc = to_coords(X), to_coords(Y)
-            nabla_xy_coord = np.einsum("kij,i,j->k", gam0, Xc, Yc)
-            nab = np.array([float(nabla_xy_coord @ g @ frame[i]) for i in range(n)])
-            cases += [
-                (f"connection_hh{suffix}", "hh", X, Y, hor_field(Yc), hor_coord(Xc), nab),
-                (f"connection_hv{suffix}", "hv", X, Y, ver_field(Yc), hor_coord(Xc), nab),
-                (f"connection_vh{suffix}", "vh", X, Y, hor_field(Yc), ver_coord(Xc), None),
-                (f"connection_vv{suffix}", "vv", X, Y, ver_field(Yc), ver_coord(Xc), None),
-            ]
-        for name, case, X, Y, B_field, A_coord, nab in cases:
-            closed_lv = closed.connection(params, e_frame, case, X, Y, base, nabla_xy=nab)
-            closed_coord = lift_coords(closed_lv)
-            num_coord = nabla_numeric(A_coord, B_field)
-            norm_closed = float(np.linalg.norm(closed_coord))
-            diff = float(np.linalg.norm(closed_coord - num_coord))
-            err = diff / norm_closed if norm_closed >= 1e-8 else diff
-            report.records.append(
-                QuantityCheck(name, norm_closed, float(np.linalg.norm(num_coord)),
-                              err, tol["connection"])
-            )
+                jac = _central_differences(field, z, first_step)
+                num = np.einsum("a,ac->c", A, jac) + np.einsum("cab,a,b->c", GamTM, A, field(z))
+                closed_lv = closed.connection(params, e_frame, kinds, basis[i], basis[j], base, nabla_xy=nab)
+                closed_coord = _lift_coords(frame, gam0, pt.u, closed_lv)
+                report.add(f"connection_{kinds}{suffix}", closed_coord, num, tol["connection"])
 
     return report
 
@@ -397,7 +353,6 @@ def compare(
 def chart_base_check(chart: Chart, x: np.ndarray, nested_step: float = DEFAULT_NESTED_STEP):
     """Numeric sectional and scalar curvature of the chart itself at x."""
     x = np.asarray(x, dtype=float)
-    n = chart.n
     R = fd_riemann(chart.metric, x, nested_step)
     g = chart.metric(x)
     ginv = np.linalg.inv(g)

@@ -33,6 +33,7 @@ import numpy as np
 from .scalars import (
     Params,
     analysis_scalars,
+    as_fraction,
     hyperbola_lambda,
     hyperbola_nu,
     mu,
@@ -47,11 +48,6 @@ from .scalars import (
 )
 
 Number = Union[int, float, Fraction]
-
-
-def _x(v: Number) -> Fraction:
-    """Exact rational image of the input (floats convert exactly)."""
-    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 # ---------------------------------------------------------------------------
@@ -159,16 +155,16 @@ def classify(params: Params, n: int, c: Optional[Number] = None) -> RegionVerdic
     """
     if n < 2:
         raise ValueError("n >= 2 required")
-    p, q = _x(params.p), _x(params.q)
+    p, q = as_fraction(params.p), as_fraction(params.q)
     component = next((name for name, hit in zip(_COMPONENTS, _gamma_conditions(p, q)) if hit), "none")
     if c is None:
         delta = (None, None)
         reason = "no base curvature supplied"
-    elif _x(c) < 0:
+    elif as_fraction(c) < 0:
         delta = (False, False)
         reason = "nonnegative sectional curvature requires c >= 0"
     else:
-        delta = _delta_pair(p, q, _x(c))
+        delta = _delta_pair(p, q, as_fraction(c))
         reason = None
     return RegionVerdict(
         in_gamma=component in _GAMMA,
@@ -186,24 +182,24 @@ def vertical_positivity(params: Params, n: int) -> bool:
     """Whether every vertical 2-plane has strictly positive sectional curvature."""
     if n < 2:
         raise ValueError("n >= 2 required")
-    return _vertical_positive(_x(params.p), _x(params.q), n)
+    return _vertical_positive(as_fraction(params.p), as_fraction(params.q), n)
 
 
 def nonneg_sectional(params: Params, n: int, c: Number) -> bool:
     """Whether h_{p,q} over a curvature-c space form has K >= 0 everywhere."""
     if n < 2:
         raise ValueError("n >= 2 required")
-    if _x(c) < 0:
+    if as_fraction(c) < 0:
         return False  # K >= 0 necessary on the base
-    return _delta_pair(_x(params.p), _x(params.q), _x(c))[n == 2]
+    return _delta_pair(as_fraction(params.p), as_fraction(params.q), as_fraction(c))[n == 2]
 
 
 def scalar_pos_sufficient(params: Params, n: int, c: Number) -> Optional[str]:
     """First matching sufficient condition for positive scalar curvature, or None."""
     if n < 2:
         raise ValueError("n >= 2 required")
-    p, q = _x(params.p), _x(params.q)
-    cx = _x(c)
+    p, q = as_fraction(params.p), as_fraction(params.q)
+    cx = as_fraction(c)
     if cx == 0:
         if not _vertical_positive(p, q, n):
             return None
@@ -251,16 +247,16 @@ def scan_column(predicate: str, p: Fraction, q: np.ndarray, n: int, c: Optional[
     if predicate == "scalar_sufficient":
         if c is None:
             raise TypeError("scalar_sufficient needs the base curvature c, got None")
-        if _x(c) == 0:
+        if as_fraction(c) == 0:
             return _vertical_positive(p, col, n), col.tie
         # each case needs p = 1 < q, q = 0, p + q = 1 > p or (n = 2) q < 0 < p - 1: all are ties
         below_cases = (q == float(1 - p)) | (n == 2 and p > 1)
         return outside, ((q > 0) & (p == 1)) | (q == 0) | ((q < 0) & below_cases)
     if predicate not in ("delta", "delta_prime"):
         raise ValueError(predicate)
-    if c is None or _x(c) < 0:  # without c every cell is a tie (NaN), below 0 none is inside
+    if c is None or as_fraction(c) < 0:  # without c every cell is a tie (NaN), below 0 none is inside
         return outside, ~outside if c is None else col.tie
-    return _delta_pair(p, col, _x(c))[predicate == "delta_prime"], col.tie
+    return _delta_pair(p, col, as_fraction(c))[predicate == "delta_prime"], col.tie
 
 
 SCAN_PREDICATES = ("gamma", "gamma_prime", "delta", "delta_prime", "scalar_sufficient", "vertical_positive")
@@ -619,7 +615,7 @@ def find_params_thm3(n: int, c: Number) -> SearchResult:
     """
     if n < 2:
         raise ValueError("n >= 2 required")
-    cx = _x(c)
+    cx = as_fraction(c)
     cf = float(cx)
     path = []
     if cf == 0:

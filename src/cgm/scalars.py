@@ -43,7 +43,7 @@ def _exactable(*xs: Number) -> bool:
     return all(isinstance(x, (int, Fraction)) for x in xs)
 
 
-def _as_fraction(x: Number) -> Fraction:
+def as_fraction(x: Number) -> Fraction:
     # Fraction(float) is exact (binary expansion), so this never rounds.
     return x if isinstance(x, Fraction) else Fraction(x)
 
@@ -244,8 +244,8 @@ def poly_G(params: Params, n: int, c: Number) -> PolySpec:
     if float(p_num) < 1 or float(p_num) != int(p_num):
         raise ValueError("poly_G requires a positive integer p")
     p = int(p_num)
-    q = _as_fraction(params.q)
-    cc = _as_fraction(c)
+    q = as_fraction(params.q)
+    cc = as_fraction(c)
     one_qt2 = _poly_mul([1, q], [1, q])
     term1 = [n * cc * v for v in _poly_mul(_binomial_row(p), one_qt2)]
     term2 = [-cc * cc * Fraction(1, 2) * v for v in _poly_mul([0, 1], one_qt2)]
@@ -283,7 +283,7 @@ def hyperbola_lambda(p: Number) -> Number:
     if p == -8:
         raise DomainError("lambda has a pole at p = -8")
     if _exactable(p):
-        return _as_fraction(8 * (1 - p)) / _as_fraction(8 + p)
+        return as_fraction(8 * (1 - p)) / as_fraction(8 + p)
     return 8.0 * (1.0 - p) / (8.0 + p)
 
 
@@ -292,7 +292,7 @@ def hyperbola_nu(p: Number) -> Number:
     if p == -2:
         raise DomainError("nu has a pole at p = -2")
     if _exactable(p):
-        return _as_fraction(2 * (1 - p)) / _as_fraction(2 + p)
+        return as_fraction(2 * (1 - p)) / as_fraction(2 + p)
     return 2.0 * (1.0 - p) / (2.0 + p)
 
 
@@ -337,8 +337,7 @@ def multipliers(params: Params, n: int) -> Multipliers:
         m3 = math.sqrt(1 + 2 * (p * p - 1) / (n * p * mp))
     if p > 1:
         if hyperbola_lambda(p) < q < 0:
-            D = p * q * (p * q + 8 * p + 8 * q - 8)
-            m4 = math.sqrt(1 + D / (4 * (p - 1) * (q - 1) * mp))
+            m4 = math.sqrt(1 + analysis_scalars(params).D / (4 * (p - 1) * (q - 1) * mp))
         if p + q >= 1:
             m5 = math.sqrt(1 + (p + q - 1) / mp)
     return Multipliers(m1, m2, m3, m4, m5)

@@ -30,7 +30,7 @@ from cgm import oracle as oc
 from cgm import regions as rg
 from cgm.verify import (
     _cell_point,
-    _oracle_scalar,
+    _oracle_record,
     oracle_matrix_cells,
     sufficient_condition_samples,
     suite_identities,
@@ -129,10 +129,10 @@ def test_criterion_5_h11_curvature_interval():
 
     # oracle: negative scalar inside the quoted intervals and past the computed ends
     probes = {
-        "C_2 >= 40 claims c=39": _oracle_scalar(Params(1, 1), 2, 39.0, 0.3),
-        "C_3 > 60 claims c=60": _oracle_scalar(Params(1, 1), 3, 60.0, 0.3),
-        "past C_2, c=4.5": _oracle_scalar(Params(1, 1), 2, 4.5, 1e3),
-        "past C_3, c=6.5": _oracle_scalar(Params(1, 1), 3, 6.5, 1e3),
+        "C_2 >= 40 claims c=39": _oracle_record(Params(1, 1), 2, 39.0, 0.3),
+        "C_3 > 60 claims c=60": _oracle_record(Params(1, 1), 3, 60.0, 0.3),
+        "past C_2, c=4.5": _oracle_record(Params(1, 1), 2, 4.5, 1e3),
+        "past C_3, c=6.5": _oracle_record(Params(1, 1), 3, 6.5, 1e3),
     }
     ok_oracle = all(r.ok and r.numeric < 0 and r.closed_form < 0 for r in probes.values())
     assert report(

@@ -19,6 +19,7 @@ from cgm.cli import (
     write_scan_svg,
 )
 from cgm.regions import cell_value
+from cgm.verify import CheckResult
 
 
 def run_cli(capsys, *argv):
@@ -376,6 +377,10 @@ class TestVerifyCommand:
                 assert record["headroom"] is None and record["tol"] >= 0
             else:
                 assert record["headroom"] == record["tol"] / record["max_err"] >= 1
+
+    def test_extra_keys_come_before_detail(self):
+        record = CheckResult("c", "pass", 1e-3, "d", extra={"headroom": 1.5, "worst": "w"}).as_dict()
+        assert list(record) == ["name", "status", "max_err", "headroom", "worst", "detail"]
 
     def test_forced_failure_exit_1(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "identities", "--tol-scale", "1e-30")

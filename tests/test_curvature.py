@@ -273,6 +273,12 @@ class TestAssembledTensor:
             )
             assert_allclose(batch[i], one, rtol=1e-10, atol=1e-12)
 
+    def test_batch_rejects_a_degenerate_row(self):
+        raw = RNG.standard_normal((4, 5, 3))
+        raw[2:, 3] = 2 * raw[:2, 3]  # row 3: B = 2A spans no plane
+        with pytest.raises(ValueError):
+            sectional_batch_spaceform(Params(1, 1), 1.0, FiberPoint.zero(3), *raw)
+
     @pytest.mark.parametrize(
         "p, q, n, c, t",
         [(2, -1, 2, 1.0, 0.3), (1, 1, 3, -1.0, 0.49)],

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from cgm.scalars import DomainError, Params
 from cgm.curvature import BaseCurvature, FiberPoint, sectional
 from cgm.oracle import (
     Chart,
+    ComparisonReport,
     TMPoint,
     chart_base_check,
     compare,
@@ -16,6 +18,7 @@ from cgm.oracle import (
     tm_metric,
     tm_metric_field,
 )
+from cgm.verify import _cell_point
 
 X0 = np.array([0.12, -0.07, 0.05])
 
@@ -169,3 +172,36 @@ def test_step_halving_improves_sectional():
         rec = {r.name: r for r in rep.records}["sectional_hh_radial"]
         errs.append(abs(rec.closed_form - rec.numeric))
     assert errs[0] / max(errs[1], 1e-300) >= 2.0
+
+
+def _digest_cells():
+    """n in {2, 3}, c in {-1, 0, 1}; (2, -1) and (-1, 3) take turns at t = 0 and 0.81 of the bound."""
+    for n in (2, 3):
+        for c in (-1.0, 0.0, 1.0):
+            for k, (p, q) in enumerate([(2, -1), (-1, 3)]):
+                t_max = 1.0 if q >= 0 else -1.0 / q
+                yield Params(p, q), n, c, 0.81 * t_max if (n + k) % 2 else 0.0
+
+
+def test_compare_records_digest():
+    # pins every oracle number bit for bit: a change to a step, the frame or a contraction shows here
+    h = hashlib.sha256()
+    for params, n, c, t in _digest_cells():
+        for r in compare(params, Chart.space_form(n, c), _cell_point(n, c, t)).records:
+            h.update(f"{r.name} {r.closed_form.hex()} {r.numeric.hex()} {r.rel_err.hex()}\n".encode())
+    assert h.hexdigest() == "1c3e198141f01af424a8575edf7aab24e59601231203f8875c0d26b3cdf34719"
+
+
+def test_report_tightest_is_least_headroom():
+    rep = ComparisonReport()
+    assert rep.tightest() is None
+    rep.add("small_err", 1.0, 1.0 + 1e-6, 1e-4)  # headroom 100
+    rep.add("exact", 2.0, 2.0, 1e-3)  # no error: headroom inf
+    rep.add("near_zero", 0.0, 4e-5, 1e-4)  # absolute error below 1e-8: headroom 2.5
+    rep.add("vector", np.array([3.0, 4.0]), np.array([3.0, 4.001]), 1e-3)  # 1e-3 / 5: headroom 5
+    assert [r.name for r in rep.records if r.headroom == math.inf] == ["exact"]
+    tight = rep.tightest()
+    assert tight.name == "near_zero"
+    assert tight.headroom == pytest.approx(2.5)
+    vec = rep.records[-1]
+    assert (vec.closed_form, vec.rel_err) == (5.0, pytest.approx(2e-4))
