@@ -24,20 +24,15 @@ import numpy as np
 
 from . import regions as rg
 from .regions import classify, find_params_thm1, find_params_thm3, radial_planes
-from .scalars import Params, scalar_curvature_spaceform
+from .scalars import Params, as_exact, scalar_curvature_spaceform
 from .verify import SUITES, run_suites
 
 MAX_GRID_CELLS = 10_000_000
 
 
 def parse_number(text: str):
-    """Exact rational flag parsing: "16/3", "0.05", "-2" all stay exact."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    frac = Fraction(text)  # exact for decimal strings
-    return int(frac) if frac.denominator == 1 else frac
+    """Exact rational flag parsing: "16/3", "0.05", "-2" all stay exact (an int when integral)."""
+    return as_exact(Fraction(text))  # exact for decimal strings
 
 
 def parse_range(text: str):
@@ -158,19 +153,25 @@ def cmd_scan(args) -> int:
     if spec.predicate in ("delta", "delta_prime", "scalar_sufficient") and spec.c is None:
         print("error: this predicate needs --c", file=sys.stderr)
         return 2
+    t0 = time.perf_counter()
     try:
         cells, exact = _scan(spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    t1 = time.perf_counter()
     try:
         write_scan_csv(args.csv, spec, cells)
+        t2 = t3 = time.perf_counter()
         if args.svg:
             write_scan_svg(args.svg, spec, cells)
+            t3 = time.perf_counter()
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
     print(f"scan: {len(cells)} cells, {exact} on the exact per-cell path", file=sys.stderr)
+    svg_s = f", svg {t3 - t2:.3f} s" if args.svg else ""
+    print(f"scan: columns with ties {t1 - t0:.3f} s, csv {t2 - t1:.3f} s{svg_s}", file=sys.stderr)
     print(f"wrote {len(cells)} cells to {args.csv}" + (f" and {args.svg}" if args.svg else ""))
     return 0
 

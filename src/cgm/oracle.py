@@ -24,7 +24,9 @@ from .curvature import BaseCurvature, FiberPoint, LiftVector
 from . import curvature as closed
 from .scalars import DomainError, Params, omega
 
-DEFAULT_FIRST_STEP = 1e-5
+#: the step of every first-order central difference; only the nested step of
+#: fd_riemann (and compare) can be set
+FIRST_STEP = 1e-5
 DEFAULT_NESTED_STEP = 1e-3
 #: compare() keeps q|e|^2 at least this far from the singular boundary
 BOUNDARY_MARGIN = 1e-3
@@ -79,24 +81,19 @@ def _central_differences(f: Callable, pt: np.ndarray, step: float) -> np.ndarray
     return np.array([(f(pt + e) - f(pt - e)) / (2 * step) for e in step * np.eye(pt.size)])
 
 
-def fd_christoffel(metric_field: Callable, pt: np.ndarray, step: float = DEFAULT_FIRST_STEP) -> np.ndarray:
+def fd_christoffel(metric_field: Callable, pt: np.ndarray) -> np.ndarray:
     """Christoffel symbols Gamma^a_{bc} of a metric field by central differences."""
     pt = np.asarray(pt, dtype=float)
     ginv = np.linalg.inv(metric_field(pt))
-    dg = _central_differences(metric_field, pt, step)
+    dg = _central_differences(metric_field, pt, FIRST_STEP)
     T = dg + np.einsum("cbd->bdc", dg) - np.einsum("dbc->bdc", dg)
     return 0.5 * np.einsum("ad,bdc->abc", ginv, T)
 
 
-def fd_riemann(
-    metric_field: Callable,
-    pt: np.ndarray,
-    step: float = DEFAULT_NESTED_STEP,
-    christoffel_step: float = DEFAULT_FIRST_STEP,
-) -> np.ndarray:
+def fd_riemann(metric_field: Callable, pt: np.ndarray, step: float = DEFAULT_NESTED_STEP) -> np.ndarray:
     """Riemann tensor R^a_{bcd} by nested central differences of Gamma."""
     pt = np.asarray(pt, dtype=float)
-    gamma = lambda z: fd_christoffel(metric_field, z, christoffel_step)
+    gamma = lambda z: fd_christoffel(metric_field, z)
     G0 = gamma(pt)
     dG = _central_differences(gamma, pt, step)
     return (
@@ -107,9 +104,7 @@ def fd_riemann(
     )
 
 
-def tm_metric(
-    params: Params, chart: Chart, pt: TMPoint, base_step: float = DEFAULT_FIRST_STEP
-) -> np.ndarray:
+def tm_metric(params: Params, chart: Chart, pt: TMPoint) -> np.ndarray:
     """Induced metric of h_{p,q} on TM in chart coordinates, as a 2n x 2n matrix.
 
     The connection-map component of a tangent vector (dx, du) is
@@ -123,7 +118,7 @@ def tm_metric(
     q = float(params.q)
     if q * t <= -1.0 + 1e-9:
         raise DomainError("tangent-bundle point outside the ball bundle")
-    gam = fd_christoffel(chart.metric, pt.x, base_step)
+    gam = fd_christoffel(chart.metric, pt.x)
     M = np.einsum("kij,j->ki", gam, pt.u)
     gu = g @ pt.u
     W = omega(t) ** float(params.p) * (g + q * np.outer(gu, gu))
@@ -135,11 +130,11 @@ def tm_metric(
     return 0.5 * (H + H.T)
 
 
-def tm_metric_field(params: Params, chart: Chart, base_step: float = DEFAULT_FIRST_STEP):
+def tm_metric_field(params: Params, chart: Chart):
     n = chart.n
 
     def h_field(z: np.ndarray) -> np.ndarray:
-        return tm_metric(params, chart, TMPoint(z[:n], z[n:]), base_step)
+        return tm_metric(params, chart, TMPoint(z[:n], z[n:]))
 
     return h_field
 
@@ -270,7 +265,6 @@ def compare(
     pt: TMPoint,
     suites: Iterable[str] = ("sectional", "ricci", "scalar", "connection"),
     tolerances: Optional[dict] = None,
-    first_step: float = DEFAULT_FIRST_STEP,
     nested_step: float = DEFAULT_NESTED_STEP,
 ) -> ComparisonReport:
     """Evaluate both curvature pipelines at a tangent-bundle point and diff them.
@@ -294,19 +288,19 @@ def compare(
     frame = base_frame(g, pt.u if t > 0 else None)
     e_frame = FiberPoint(np.array([float(pt.u @ g @ frame[i]) for i in range(n)]))
     base = BaseCurvature.space_form(chart.c)
-    gam0 = fd_christoffel(chart.metric, pt.x, first_step)
+    gam0 = fd_christoffel(chart.metric, pt.x)
     basis = np.eye(n)
     # induced coordinates at pt of the kind ("h" or "v") lift of frame vector i
     lifted = {(kind, i): _lift_coords(frame, gam0, pt.u, LIFTS[kind](basis[i]))
               for kind in "hv" for i in range(n)}
 
     z = pt.coords()
-    h_field = tm_metric_field(params, chart, first_step)
+    h_field = tm_metric_field(params, chart)
     H = h_field(z)
     Hinv = np.linalg.inv(H)
     report = ComparisonReport(tolerances=tol)
     if {"sectional", "ricci", "scalar"} & set(suites):
-        R = fd_riemann(h_field, z, nested_step, first_step)
+        R = fd_riemann(h_field, z, nested_step)
         rho = _ricci_matrix(R, H, Hinv)
 
     if "sectional" in suites:
@@ -329,7 +323,7 @@ def compare(
 
     if "connection" in suites:
         # nabla_A B = dB(A) + Gamma_TM(A, B): the lift field B differenced around z
-        GamTM = fd_christoffel(h_field, z, first_step)
+        GamTM = fd_christoffel(h_field, z)
         for suffix, i, j in (("", 0, 1), ("_swapped", 1, 0)):
             nabla_xy_coord = np.einsum("kij,i,j->k", gam0, lifted["h", i][:n], lifted["h", j][:n])
             nab = np.array([float(nabla_xy_coord @ g @ frame[k]) for k in range(n)])
@@ -338,10 +332,10 @@ def compare(
 
                 def field(zz):
                     """B lifted over zz; a vertical lift does not read the Christoffels."""
-                    gam = fd_christoffel(chart.metric, zz[:n], first_step) if kinds[1] == "h" else gam0
+                    gam = fd_christoffel(chart.metric, zz[:n]) if kinds[1] == "h" else gam0
                     return _lift_coords(frame, gam, zz[n:], B)
 
-                jac = _central_differences(field, z, first_step)
+                jac = _central_differences(field, z, FIRST_STEP)
                 num = np.einsum("a,ac->c", A, jac) + np.einsum("cab,a,b->c", GamTM, A, field(z))
                 closed_lv = closed.connection(params, e_frame, kinds, basis[i], basis[j], base, nabla_xy=nab)
                 closed_coord = _lift_coords(frame, gam0, pt.u, closed_lv)
@@ -350,10 +344,10 @@ def compare(
     return report
 
 
-def chart_base_check(chart: Chart, x: np.ndarray, nested_step: float = DEFAULT_NESTED_STEP):
+def chart_base_check(chart: Chart, x: np.ndarray):
     """Numeric sectional and scalar curvature of the chart itself at x."""
     x = np.asarray(x, dtype=float)
-    R = fd_riemann(chart.metric, x, nested_step)
+    R = fd_riemann(chart.metric, x)
     g = chart.metric(x)
     ginv = np.linalg.inv(g)
     frame = base_frame(g)

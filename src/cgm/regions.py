@@ -34,6 +34,7 @@ from .scalars import (
     Params,
     analysis_scalars,
     as_fraction,
+    f_sup,
     hyperbola_lambda,
     hyperbola_nu,
     mu,
@@ -286,23 +287,24 @@ def column_values(predicate: str, p: float, q: np.ndarray, n: int, c: Optional[N
 # ---------------------------------------------------------------------------
 # scalar curvature grids and tail analysis
 
+GRID_POINTS, GRID_CAP = 10000, 1e6  # the radius grid of scalar_grid_min and the certificates
+INTERVAL_TOL = 1e-6  # the accuracy of each end of scalar_positivity_interval
 
-def _t_grid(params: Params, points: int = 10000, cap: float = 1e6) -> np.ndarray:
+
+def _t_grid(params: Params) -> np.ndarray:
     """Deterministic grid over the admissible fibre radii (log-spaced, with 0)."""
     q = float(params.q)
     if q >= 0:
-        return np.concatenate([[0.0], np.geomspace(1e-8, cap, points - 1)])
+        return np.concatenate([[0.0], np.geomspace(1e-8, GRID_CAP, GRID_POINTS - 1)])
     tb = -1.0 / q
-    k = points // 2
+    k = GRID_POINTS // 2
     low = np.linspace(0.0, tb * (1 - 1e-3), k)
-    near = tb * (1.0 - np.geomspace(1e-6, 1e-3, points - k))
+    near = tb * (1.0 - np.geomspace(1e-6, 1e-3, GRID_POINTS - k))
     return np.unique(np.concatenate([low, near]))
 
 
-def scalar_grid_min(
-    params: Params, n: int, c: Number, points: int = 10000, cap: float = 1e6
-) -> float:
-    return float(scalar_curvature_spaceform(params, n, c, _t_grid(params, points, cap)).min())
+def scalar_grid_min(params: Params, n: int, c: Number) -> float:
+    return float(scalar_curvature_spaceform(params, n, c, _t_grid(params)).min())
 
 
 def _tail_limit(params: Params, n: int, c: Number) -> float:
@@ -330,26 +332,12 @@ def _tail_limit(params: Params, n: int, c: Number) -> float:
     return n * cf - 0.5 * cf * cf * f_inf + phi_inf
 
 
-def _positivity_predicate(params: Params, n: int, c: float, points: int, cap: float) -> bool:
-    if scalar_grid_min(params, n, c, points, cap) <= 0:
-        return False
-    if float(params.q) >= 0:
-        return _tail_limit(params, n, c) >= 0
-    return True
-
-
-def scalar_positivity_interval(
-    params: Params,
-    n: int,
-    tol: float = 1e-6,
-    points: int = 10000,
-    cap: float = 1e6,
-) -> tuple[float, float]:
+def scalar_positivity_interval(params: Params, n: int) -> tuple[float, float]:
     """Interval of base curvatures c around 0 with positive scalar curvature.
 
     Bisection around the seed c = 0 on the predicate "grid minimum positive,
     tail limit nonnegative"; each returned end is the outermost c at which the
-    predicate held, accurate to `tol`.  The ends can belong to the set: for
+    predicate held, accurate to INTERVAL_TOL.  The ends can belong to the set: for
     h_{1,1}, n = 2, the end c = 4 has G = 14 + 22t + 8t^2.  Returns (nan, nan)
     when the seed itself fails.
     Implemented for q >= 0 and for the bounded-range family p + q >= 1, q < 0.
@@ -357,7 +345,10 @@ def scalar_positivity_interval(
     p, q = float(params.p), float(params.q)
     if q < 0 and p + q < 1:
         raise ValueError("interval search implemented for q >= 0 or p + q >= 1")
-    pred = lambda c: _positivity_predicate(params, n, c, points, cap)
+
+    def pred(c: float) -> bool:
+        return scalar_grid_min(params, n, c) > 0 and (q < 0 or _tail_limit(params, n, c) >= 0)
+
     if not pred(0.0):
         return (math.nan, math.nan)
 
@@ -369,7 +360,7 @@ def scalar_positivity_interval(
             lo, hi = hi, 2 * hi
         else:
             return sign * math.inf
-        while abs(hi - lo) > tol:
+        while abs(hi - lo) > INTERVAL_TOL:
             mid = 0.5 * (lo + hi)
             if pred(mid):
                 lo = mid
@@ -472,12 +463,12 @@ def _quadratic_sign_probes(coeffs: tuple, t_hi: float) -> list:
     return [t for t in probes if 0 < t <= t_hi and math.isfinite(t)]
 
 
-def sectional_witness_min(params: Params, n: int, c: Number, t_count: int = 48) -> float:
+def sectional_witness_min(params: Params, n: int, c: Number) -> float:
     """Minimum sectional curvature over the lifted-plane families at sampled radii."""
-    return witness_minima(params, c, t_count)[n >= 3]
+    return witness_minima(params, c)[n >= 3]
 
 
-def witness_minima(params: Params, c: Number, t_count: int = 48) -> tuple[float, float]:
+def witness_minima(params: Params, c: Number) -> tuple[float, float]:
     """:func:`sectional_witness_min` for n = 2 and for n >= 3, from one evaluation of the families.
 
     The families are those of :func:`radial_planes`; radii include the
@@ -494,7 +485,7 @@ def witness_minima(params: Params, c: Number, t_count: int = 48) -> tuple[float,
     """
     p, q, cf = float(params.p), float(params.q), float(c)
     t_hi = 1e3 if q >= 0 else -1.0 / q * (1 - 2e-9)
-    t_vals = [0.0] + list(np.geomspace(1e-6, t_hi * 0.999, t_count))
+    t_vals = [0.0] + list(np.geomspace(1e-6, t_hi * 0.999, 48))
     if q < 0:
         tb = -1.0 / q
         t_vals += list(tb * (1.0 - np.geomspace(2e-9, 1e-1, 16)))
@@ -510,11 +501,9 @@ def witness_minima(params: Params, c: Number, t_count: int = 48) -> tuple[float,
     fam = radial_planes(params, cf, np.array(sorted({t for t in t_vals if 0 <= t <= probe_hi})))
 
     mins = [fam.hh.min(), fam.hv.min(), fam.vv_through.min()]
-    # the infimum of the horizontal family over an unbounded radius range is
-    # analytic (sup f = 1/mu for p >= 1, else inf)
+    # the infimum of the horizontal family over an unbounded radius range is analytic
     if q >= 0 and cf != 0:
-        sup_f = math.inf if p < 1 else 1.0 / float(mu(p))
-        mins.append(cf - 0.75 * cf * cf * sup_f)
+        mins.append(cf - 0.75 * cf * cf * f_sup(params).sup)
     low = min(mins)  # min is a left fold, so min(low, x) is min(mins + [x])
     return float(low), float(min(low, fam.vv_perp.min()))
 
@@ -532,15 +521,19 @@ class SearchResult:
 
 
 def _certificate(params: Params, n: int, c: Number, extra: Optional[dict] = None) -> dict:
-    m = scalar_grid_min(params, n, c)
+    """The grid minimum of the scalar curvature, and how many grid values overflowed (if any)."""
+    with np.errstate(over="ignore"):
+        s = scalar_curvature_spaceform(params, n, c, _t_grid(params))
+    m = float(s.min())
     if not m > 0:
-        raise AssertionError(
-            f"search postcondition violated: grid minimum {m} at {params}"
-        )
+        raise AssertionError(f"search postcondition violated: grid minimum {m} at {params}")
     cert = {
         "min_scalar_on_grid": m,
         "grid": "10000-point log grid on the admissible radii (t <= 1e6)",
     }
+    nonfinite = int(np.count_nonzero(~np.isfinite(s)))
+    if nonfinite:
+        cert["nonfinite_on_grid"] = nonfinite
     if extra:
         cert.update(extra)
     return cert
@@ -580,10 +573,14 @@ def find_params_thm1(n: int, c: Number) -> SearchResult:
 
 
 def _coeff_polys_in_q(p: int, n: int) -> tuple[tuple, tuple]:
-    """The t^2 and t^1 coefficients of C(t) as quadratics in q (ascending)."""
-    a = (0, n + 2 * (n - 3) * p - (n - 2) * p * p, 2 * (n - 2))
-    b = ((n - 2) * p * (2 - p), 2 * (n + (n - 1) * p), n - 2)
-    return a, b
+    """The t^2 and t^1 coefficients of C(t) as quadratics in q (ascending), read off C at q = 0, 1, 2."""
+    rows = [poly_C(Params(p, q), n).coefficients for q in (0, 1, 2)]
+    quads = []
+    for k in (2, 1):
+        v0, v1, v2 = (row[k] for row in rows)
+        q2 = (v2 - 2 * v1 + v0) // 2  # half the second difference, exact: C has integer coefficients here
+        quads.append((v0, v1 - v0 - q2, q2))
+    return tuple(quads)
 
 
 def _larger_root(quad: tuple) -> float:

@@ -11,10 +11,12 @@ numpy array of radii and evaluate elementwise, in the same order of
 operations as for a scalar radius.  The domain check, the weights and the
 coefficients also accept float arrays of p and q (shape (m, 1): one point per row).
 
-Polynomial coefficients are expanded in exact rational arithmetic whenever the
-inputs are rational (int / Fraction); float inputs propagate as floats.  Sign
-decisions made downstream (coefficient-positivity searches, region boundaries)
-rely on this exactness.
+Polynomial coefficients are expanded in exact arithmetic whenever the inputs
+are rational (int / Fraction); float inputs propagate as floats.  :func:`as_exact`
+is the one rule for exact values: an integral value is an ``int``, any other a
+``Fraction``, so the expansions of G run on Python ints for integral p, q, c.
+Sign decisions made downstream (coefficient-positivity searches, region
+boundaries) rely on this exactness.
 """
 
 from __future__ import annotations
@@ -46,6 +48,12 @@ def _exactable(*xs: Number) -> bool:
 def as_fraction(x: Number) -> Fraction:
     # Fraction(float) is exact (binary expansion), so this never rounds.
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def as_exact(x: Number) -> Number:
+    """The exact value of x: an int when it is integral, a Fraction otherwise."""
+    f = as_fraction(x)
+    return f.numerator if f.denominator == 1 else f
 
 
 @dataclass(frozen=True)
@@ -237,18 +245,16 @@ def poly_G(params: Params, n: int, c: Number) -> PolySpec:
     """Scalar-sign polynomial over a curvature-c space form, for integer p >= 1.
 
     G(t) = n c (1+t)^p (1+q t)^2 - (c^2/2) t (1+q t)^2 + (1+t)^(2p-2) C(t),
-    expanded by exact polynomial arithmetic; G > 0 on t >= 0 certifies
+    expanded by exact polynomial arithmetic on ints wherever the values are
+    integral (:func:`as_exact`); G > 0 on t >= 0 certifies
     positive scalar curvature (q >= 0).
     """
-    p_num = params.p
-    if float(p_num) < 1 or float(p_num) != int(p_num):
+    p, q, cc = as_exact(params.p), as_exact(params.q), as_exact(c)
+    if not isinstance(p, int) or p < 1:
         raise ValueError("poly_G requires a positive integer p")
-    p = int(p_num)
-    q = as_fraction(params.q)
-    cc = as_fraction(c)
     one_qt2 = _poly_mul([1, q], [1, q])
     term1 = [n * cc * v for v in _poly_mul(_binomial_row(p), one_qt2)]
-    term2 = [-cc * cc * Fraction(1, 2) * v for v in _poly_mul([0, 1], one_qt2)]
+    term2 = [as_exact(Fraction(-cc * cc * v, 2)) for v in _poly_mul([0, 1], one_qt2)]
     cpoly = poly_C(Params(p, q), n).coefficients
     term3 = _poly_mul(_binomial_row(2 * p - 2), list(cpoly))
     out = _poly_add(_poly_add(term1, term2), term3)
@@ -265,12 +271,9 @@ def mu(p: Number) -> Number:
     """p^p / (p-1)^(p-1) for p >= 1, with mu(1) = 1; exact for integer p."""
     if p < 1:
         raise DomainError("mu is defined for p >= 1")
-    if p == 1:
-        return Fraction(1) if _exactable(p) else 1.0
-    if (isinstance(p, float) and p.is_integer()) or (isinstance(p, Fraction) and p.denominator == 1):
-        p = int(p)
-    if isinstance(p, int):
-        return Fraction(p**p, (p - 1) ** (p - 1))
+    k = as_exact(p)
+    if isinstance(k, int):  # mu(1) = 1**1 / 0**0
+        return Fraction(k**k, (k - 1) ** (k - 1))
     fp = float(p)
     try:
         return fp**fp / (fp - 1) ** (fp - 1)

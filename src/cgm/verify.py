@@ -485,7 +485,7 @@ def suite_regions(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]:
     return out
 
 
-def sufficient_condition_samples(seed: int = 0, per_family: int = 112) -> list:
+def sufficient_condition_samples(seed: int = 0) -> list:
     """Deterministic (params, n, c) samples inside each sufficiency case."""
     rng = np.random.default_rng(seed + 17)
     samples = []
@@ -498,7 +498,7 @@ def sufficient_condition_samples(seed: int = 0, per_family: int = 112) -> list:
                 return c
         return center + 0.5 * radius
 
-    for _ in range(per_family):
+    for _ in range(112):  # per family
         # dimension 2 cases (a)-(e)
         samples.append((Params(1.0, rng.uniform(0.01, 5)), 2, rng.uniform(0.05, 3.95)))
         p = rng.uniform(1, 1.99)
@@ -530,9 +530,10 @@ def sufficient_condition_samples(seed: int = 0, per_family: int = 112) -> list:
     return samples[:1000]
 
 
-def nonneg_witness_points(c: float, seed: int = 0, count: int = 500) -> list:
-    """Mixture of random and boundary-targeted (p, q) points for the K >= 0 test."""
+def nonneg_witness_points(c: float, seed: int = 0) -> list:
+    """Mixture of 500 random and boundary-targeted (p, q) points for the K >= 0 test."""
     rng = np.random.default_rng(seed + int(c * 977) + 31)
+    count = 500
     targeted = count // 3
     pts = [(rng.uniform(-9, 4), rng.uniform(-4, 4)) for _ in range(count - targeted)]
     if c == 0:

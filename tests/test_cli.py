@@ -124,11 +124,11 @@ class TestScanCommand:
     def test_byte_identical_to_per_cell_rule(self, tmp_path, capsys):
         # the CLI's column kernel against the per-cell rule, written by the same writers
         csv, svg = tmp_path / "scan.csv", tmp_path / "scan.svg"
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             capsys, "scan", "--p-range=-9:3:0.5", "--q-range=-3:3:0.5",
             "--n", "2", "--predicate", "gamma_prime", "--csv", str(csv), "--svg", str(svg),
         )
-        assert code == 0
+        assert code == 0 and re.search(r", csv \d+\.\d{3} s, svg \d+\.\d{3} s\n\Z", err)
         spec = ScanSpec((-9, 3, Fraction(1, 2)), (-3, 3, Fraction(1, 2)), 2, None, "gamma_prime")
         cells = per_cell_scan(spec)
         write_scan_csv(str(tmp_path / "cell.csv"), spec, cells)
@@ -144,7 +144,9 @@ class TestScanCommand:
         )
         assert code == 0
         assert out == f"wrote 425 cells to {csv}\n"
-        match = re.fullmatch(r"scan: 425 cells, (\d+) on the exact per-cell path\n", err)
+        match = re.fullmatch(
+            r"scan: 425 cells, (\d+) on the exact per-cell path\n"
+            r"scan: columns with ties \d+\.\d{3} s, csv \d+\.\d{3} s\n", err)
         assert match and int(match.group(1)) > 0  # the cells on p + q = 1 are ties
 
     def test_csv_round_trip(self, tmp_path, capsys):
@@ -359,6 +361,19 @@ class TestByteIdentity:
     @pytest.mark.parametrize("flags, digest", CURVATURE, ids=["h11_n3", "ball_bundle_n2"])
     def test_curvature_digest(self, flags, digest, capsys):
         code, out, _ = run_cli(capsys, "curvature", *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    FIND_PARAMS = [
+        (("--nonneg-q", "--n", "3", "--c=-20"), "e4b4089bdf88b93a0fda738d54406b72ec7f6efb0a4f5762f1e61599e606efde"),
+        (("--nonneg-q", "--n", "4", "--c=-7/3"), "b8cb7321c5cc4b39930b5025715b399ff676eb79e303d08a0a67a1b97a04daac"),
+        (("--n", "2", "--c=16/3"), "d44968eb33f9002d3af76fe86b614d93128912971db400860d5c9b7a7b2447cc"),
+        (("--n", "5", "--c=-20"), "e9c0dca5e5ea588fe4fddf220cc98bcb90a3654eb09d1b417a0e9b9274c5d8ba"),
+    ]
+
+    @pytest.mark.parametrize("flags, digest", FIND_PARAMS, ids=["nonneg_n3", "nonneg_n4", "mu_n2", "mu_n5"])
+    def test_find_params_digest(self, flags, digest, capsys):
+        code, out, _ = run_cli(capsys, "find-params", *flags)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -12,6 +12,7 @@ from cgm.curvature import BaseCurvature, FiberPoint, LiftVector, sectional_plane
 from cgm.scalars import Params, hyperbola_lambda, mu, poly_G
 from cgm.verify import DELTA_C, delta_grid_verdicts
 from cgm.regions import (
+    _coeff_polys_in_q,
     brute_force_vertical_positivity,
     classify,
     find_params_general,
@@ -223,6 +224,19 @@ class TestSearches:
             res = find_params_thm1(n, -100)
             assert float(res.params.p) > 143
             assert res.certificate["min_scalar_on_grid"] > 0
+
+    def test_certificate_counts_overflowed_radii(self):
+        # p = 211.4: (1+t)^(p-2) overflows from t ~ 27.8 on, so part of the grid reads +inf
+        assert find_params_thm1(2, -300).certificate["nonfinite_on_grid"] == 3255
+        assert "nonfinite_on_grid" not in find_params_thm1(3, -1).certificate
+
+    def test_coeff_polys_in_q_match_hand_expansion(self):
+        # the t^2 and t^1 coefficients of C = 2P + (n-2)(1+qt)Q, expanded by hand in q
+        for n in range(2, 7):
+            for p in range(1, 61):
+                a = (0, n + 2 * (n - 3) * p - (n - 2) * p * p, 2 * (n - 2))
+                b = ((n - 2) * p * (2 - p), 2 * (n + (n - 1) * p), n - 2)
+                assert _coeff_polys_in_q(p, n) == (a, b), (p, n)
 
     def test_thm3_zero_curvature_returns_cheeger_gromoll(self):
         res = find_params_thm3(3, 0)

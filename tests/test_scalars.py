@@ -10,6 +10,7 @@ from cgm.scalars import (
     DomainError,
     Params,
     analysis_scalars,
+    as_exact,
     coefficients,
     extended_AB,
     f_sup,
@@ -134,10 +135,11 @@ def test_poly_G_examples():
 
 def test_poly_G_matches_three_term_definition_at_p40():
     # G(t) = n c (1+t)^p (1+qt)^2 - (c^2/2) t (1+qt)^2 + (1+t)^(2p-2) C(t),
-    # C = 2P + (n-2)(1+qt)Q, compared in exact rational arithmetic
-    p, q = 40, Fraction(3, 7)
-    for n, c in ((2, Fraction(-5, 2)), (3, Fraction(16, 3)), (5, Fraction(-30))):
-        g = poly_G(Params(p, q), n, c)
+    # C = 2P + (n-2)(1+qt)Q, compared in exact rational arithmetic; float inputs count exactly
+    p, q7 = 40, Fraction(3, 7)
+    for n, c_in, q_in in ((2, Fraction(-5, 2), q7), (3, Fraction(16, 3), q7), (5, Fraction(-30), q7), (4, -7.25, 0.375)):
+        g = poly_G(Params(p, q_in), n, c_in)
+        q, c = Fraction(q_in), Fraction(c_in)
         for t in (Fraction(0), Fraction(1, 3), Fraction(7, 2), Fraction(-2, 5)):
             P = (2 * p + q) + (p + 2) * q * t + (1 - p) * q * t * t
             Q = (2 * p + q) + (2 * p + 2 * q - p * p) * t + q * t * t
@@ -148,6 +150,23 @@ def test_poly_G_matches_three_term_definition_at_p40():
                 + (1 + t) ** (2 * p - 2) * C
             )
             assert g.evaluate_exact(t) == want
+
+
+def test_as_exact_keeps_integral_values_int():
+    for x in (Fraction(4, 2), 3.0, Fraction(6, 3)):
+        assert type(as_exact(x)) is int and as_exact(x) == x
+    for x in (0.5, Fraction(16, 3)):
+        assert type(as_exact(x)) is Fraction and as_exact(x) == x
+
+
+def test_poly_G_integral_values_are_ints():
+    # integral p, q, c expand on ints; only c^2/2 can make a coefficient non-integral
+    assert all(type(v) is int for v in poly_G(Params(3, 2), 3, -2).coefficients)
+    g = poly_G(Params(3, 2), 3, -1)
+    assert g.coefficients[1] == Fraction(223, 2)
+    assert all(type(v) is int for k, v in enumerate(g.coefficients) if k != 1)
+    # float p and q with integral values take the same path
+    assert poly_G(Params(3.0, 2.0), 3, -2.0).coefficients == poly_G(Params(3, 2), 3, -2).coefficients
 
 
 @given(
