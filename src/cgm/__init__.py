@@ -43,7 +43,6 @@ from .curvature import (
 from .regions import (
     RegionVerdict,
     SearchResult,
-    brute_force_vertical_positivity,
     classify,
     find_params_general,
     find_params_thm1,

@@ -13,6 +13,10 @@ There every comparison compares q with an exact threshold tau(p), and the
 correctly rounded float(tau) settles it unless q == float(tau): a tie, left to
 the per-cell rule.
 
+The sampled minima :func:`vertical_curvature_minimum` and
+:func:`sectional_witness_min` evaluate the plane families at drawn radii; they
+are diagnostics, and `verify` decides the region checks exactly instead.
+
 The constructive searches return a :class:`SearchResult` whose certificate
 records the grid minimum of the scalar curvature (always positive) and, for
 the nonnegative-q route, the all-positive coefficient list of the sign
@@ -404,12 +408,7 @@ def _vertical_planes(params: Params, t: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def vertical_curvature_minimum(params: Params, n: int, samples: int = 10000, seed: int = 0) -> float:
-    """Minimum sectional curvature of vertical 2-planes over sampled radii."""
-    return vertical_minima(params, samples, seed)[n >= 3]
-
-
-def vertical_minima(params: Params, samples: int = 10000, seed: int = 0) -> tuple[float, float]:
-    """:func:`vertical_curvature_minimum` for n = 2 and for n >= 3, from one draw of radii.
+    """Minimum sectional curvature of vertical 2-planes over sampled radii.
 
     A vertical plane at radius t has curvature (1+t)^p (A u + B)/(1 + q u),
     where u in [0, t] is the squared length of the fibre point's projection
@@ -434,14 +433,7 @@ def vertical_minima(params: Params, samples: int = 10000, seed: int = 0) -> tupl
         t = np.concatenate([t_low, t_near])
     through, perp = _vertical_planes(params, np.concatenate([[0.0], t]))
     k = through.min()
-    return float(k), float(min(k, perp.min()))
-
-
-def brute_force_vertical_positivity(
-    params: Params, n: int, samples: int = 10000, seed: int = 0
-) -> bool:
-    """Sampled check that every vertical 2-plane has positive sectional curvature."""
-    return vertical_curvature_minimum(params, n, samples, seed) > 0.0
+    return float(k) if n < 3 else float(min(k, perp.min()))
 
 
 def _quadratic_sign_probes(coeffs: tuple, t_hi: float) -> list:
@@ -464,12 +456,7 @@ def _quadratic_sign_probes(coeffs: tuple, t_hi: float) -> list:
 
 
 def sectional_witness_min(params: Params, n: int, c: Number) -> float:
-    """Minimum sectional curvature over the lifted-plane families at sampled radii."""
-    return witness_minima(params, c)[n >= 3]
-
-
-def witness_minima(params: Params, c: Number) -> tuple[float, float]:
-    """:func:`sectional_witness_min` for n = 2 and for n >= 3, from one evaluation of the families.
+    """Minimum sectional curvature over the lifted-plane families at sampled radii.
 
     The families are those of :func:`radial_planes`; radii include the
     critical points of f, P and Q and, for q >= 0, the sign probes of P and Q
@@ -505,7 +492,7 @@ def witness_minima(params: Params, c: Number) -> tuple[float, float]:
     if q >= 0 and cf != 0:
         mins.append(cf - 0.75 * cf * cf * f_sup(params).sup)
     low = min(mins)  # min is a left fold, so min(low, x) is min(mins + [x])
-    return float(low), float(min(low, fam.vv_perp.min()))
+    return float(low) if n < 3 else float(min(low, fam.vv_perp.min()))
 
 
 # ---------------------------------------------------------------------------

@@ -364,19 +364,19 @@ class FSup(NamedTuple):
 def f_sup(params: Params) -> FSup:
     """Supremum of f(t) = t/(1+t)^p over the admissible fibre radii.
 
-    For p < 1 the function is unbounded on R+ and the result carries
-    sup = inf.  For p >= 1 the supremum is 1/mu(p); it is attained at
-    t = 1/(p-1) except when that point is the t -> infinity limit (p = 1)
-    or sits on the open boundary -1/q (p + q <= 1, q < 0), in which case
-    the supremum is the one-sided limit value.
+    For p <= 1 the function increases, so the supremum is its limit at the
+    end of the fibre and is not attained: f(-1/q) for q < 0, and for q >= 0
+    1 (p = 1) or inf (p < 1).  For p > 1 the supremum is 1/mu(p); it is
+    attained at t = 1/(p-1) except when that point sits on or past the open
+    boundary -1/q (p + q <= 1, q < 0), in which case the supremum is the
+    one-sided limit value.
     """
     p, q = float(params.p), float(params.q)
-    if p < 1:
-        return FSup(math.inf, False, None)
-    if p == 1:
-        if q >= 0:
-            return FSup(1.0, False, None)
-        return FSup(f_value(-1.0 / q, p), False, None)
+    if p <= 1:
+        if q >= 0 or -1.0 / q == math.inf:  # an unbounded fibre, or a denormal q whose -1/q overflows
+            return FSup(1.0 if p == 1 else math.inf, False, None)
+        with np.errstate(over="ignore", divide="ignore"):  # f(-1/q) may exceed the float range for p < 0
+            return FSup(float(f_value(np.float64(-1.0 / q), p)), False, None)
     t_star = 1.0 / (p - 1.0)
     if q >= 0 or p + q > 1:
         return FSup(1.0 / float(mu(p)), True, t_star)

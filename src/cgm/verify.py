@@ -3,6 +3,10 @@
 Each suite returns a list of named checks with the worst observed error, so
 the CLI can emit one JSON line per check and exit nonzero when anything
 fails.  All sampling is seeded and deterministic.
+
+The regions suite checks the region classifiers against exact decisions: the
+signs of the quadratics P and Q on the fibre radii, settled by three exact
+evaluations each, and for K >= 0 the horizontal cut mu(p) >= 3c/4.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from . import oracle as oc
 from . import regions as rg
 from .scalars import (
     Params,
+    as_fraction,
     coefficients,
     f_sup,
     f_value,
@@ -347,44 +352,52 @@ def strata_parameter_points() -> dict:
     return {"q<0": neg, "q=0": zero, "q>0": pos}
 
 
-VERTICAL_BAND = 1e-7
+def _sign_holds(coefficients: tuple, q: Fraction, strict: bool) -> bool:
+    """Whether c0 + c1 t + c2 t^2 (exact) is > 0 (strict) or >= 0 on the radii [0, T), T = -1/q for q < 0,
+    else inf: at 0, at a vertex inside (0, T) and at the open end T, where 0 passes even when strict
+    (a crossing inside (0, T) fails the vertex test, so such a zero is approached from above)."""
+    c0, c1, c2 = coefficients
+    holds = (lambda v: v > 0) if strict else (lambda v: v >= 0)
+    end = -1 / q if q < 0 else math.inf
+    vertex = -c1 / (2 * c2) if c2 > 0 else 0
+    if not holds(c0) or (0 < vertex < end and not holds(c0 + c1 * vertex / 2)):
+        return False
+    return c0 + (c1 + c2 * end) * end >= 0 if q < 0 else c2 > 0 or (c2 == 0 and c1 >= 0)
 
 
-def vertical_contradictions(seed: int = 0) -> list:
-    """(n, stratum, p, q, minimum, verdict) where the sampled minimum contradicts
-    vertical_positivity, inside the band or not; point idx draws its radii from seed + idx."""
-    bad = []
-    points = [(name, p, q, rg.vertical_minima(Params(p, q), 10_000, seed + idx))
-              for name, pts in strata_parameter_points().items() for idx, (p, q) in enumerate(pts)]
-    for n in (2, 3):
-        for name, p, q, minima in points:
-            cl = rg.vertical_positivity(Params(p, q), n)
-            bmin = minima[n >= 3]
-            if cl != (bmin > 0):
-                bad.append((n, name, p, q, bmin, cl))
-    return bad
+def _exact_vertical(params: Params, n: int, strict: bool = True) -> bool:
+    """Whether every vertical plane has K > 0 (K >= 0 unless strict), from the signs of P and (n >= 3) Q:
+    at radius t the planes lie between (1+t)^p (A t + B)/(1 + q t) and (1+t)^p B
+    (:func:`regions.vertical_curvature_minimum`), and A t + B = w^2 w_q P(t), B = w^2 w_q Q(t)."""
+    exact = Params(as_fraction(params.p), as_fraction(params.q))
+    return all(_sign_holds(poly(exact).coefficients, exact.q, strict)
+               for poly in (poly_P, poly_Q)[: 1 if n == 2 else 2])
 
 
-def vertical_mismatches(seed: int = 0) -> list:
-    """The vertical contradictions outside the VERTICAL_BAND of zero."""
-    return [row for row in vertical_contradictions(seed) if abs(row[4]) > VERTICAL_BAND]
+def _exact_nonneg(params: Params, n: int, c) -> bool:
+    """Whether every lifted plane over a curvature-c space form has K >= 0: vertizontal planes do, vertical
+    ones need P, Q >= 0, and the horizontal c - (3/4) c^2 f(t) needs c <= 4/(3 sup f).  Once P >= 0, sup f
+    is 1/mu(p) for p >= 1 and inf for p < 1 (for q < 0, p + q < 1 gives P(-1/q) < 0)."""
+    c, p = as_fraction(c), as_fraction(params.p)
+    return c >= 0 and (c == 0 or (p >= 1 and mu(p) >= 3 * c / 4)) and _exact_vertical(params, n, False)
 
 
-def witness_mismatches(seed: int = 0, sound_tol: float = 1e-9) -> list:
-    """(kind, n, c, p, q, minimum) where the lifted-plane minimum contradicts
-    nonneg_sectional: "sound" below -sound_tol, "complete" at or above -1e-9."""
-    bad = []
-    for c in (0, 1, Fraction(16, 3), 6):
-        pts = [(p, q, rg.witness_minima(Params(p, q), float(c))) for p, q in nonneg_witness_points(float(c), seed)]
-        for n in (2, 3):
-            for p, q, minima in pts:
-                verdict = rg.nonneg_sectional(Params(p, q), n, c)
-                m = minima[n >= 3]
-                if verdict and m < -sound_tol:
-                    bad.append(("sound", n, float(c), p, q, m))
-                if not verdict and 2 * p + q >= 0 and m >= -1e-9:
-                    bad.append(("complete", n, float(c), p, q, m))
-    return bad
+def vertical_mismatches() -> tuple[int, list]:
+    """The number of exact vertical decisions on the strata points for n = 2, 3, and the
+    (p, q, n, verdict) rows where vertical_positivity differs from them."""
+    points = [point for pts in strata_parameter_points().values() for point in pts]
+    bad = [(p, q, n, verdict) for n in (2, 3) for p, q in points
+           if (verdict := rg.vertical_positivity(Params(p, q), n)) != _exact_vertical(Params(p, q), n)]
+    return 2 * len(points), bad
+
+
+def witness_mismatches(seed: int = 0) -> tuple[int, list]:
+    """The number of exact K >= 0 decisions on the witness points for n = 2, 3, and the
+    (p, q, n, c, verdict) rows where nonneg_sectional differs from them."""
+    points = {c: nonneg_witness_points(float(c), seed) for c in (0, 1, Fraction(16, 3), 6)}
+    bad = [(p, q, n, float(c), verdict) for c, pts in points.items() for n in (2, 3) for p, q in pts
+           if (verdict := rg.nonneg_sectional(Params(p, q), n, c)) != _exact_nonneg(Params(p, q), n, c)]
+    return 2 * sum(map(len, points.values())), bad
 
 
 DELTA_C = (6, Fraction(16, 3), 1, 0)
@@ -402,21 +415,16 @@ def delta_grid_verdicts(p_axis, q_axis: np.ndarray) -> tuple[dict, int]:
     return grid, ties
 
 
+def _agreement(name: str, compared: int, bad: list, columns: str) -> CheckResult:
+    detail = f"{len(bad)} of {compared} exact decisions disagree; first {columns}: {bad[:4]}"
+    return _check_bool(name, not bad, detail if bad else f"{compared} exact decisions agree")
+
+
 def suite_regions(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]:
     out = []
 
-    # classifier vs brute-force oracle, 1e-7 boundary band; band_hits counts the contradictions it excuses
-    raw = vertical_contradictions(seed)
-    bad = [(n, name, round(p, 3), round(q, 3), bmin, cl)
-           for n, name, p, q, bmin, cl in raw if abs(bmin) > VERTICAL_BAND]
-    out.append(
-        CheckResult(
-            "classifier_vs_bruteforce",
-            "fail" if bad else "pass",
-            detail=f"disagreements outside the band: {bad[:4]}" if bad else "3000 points agree",
-            extra={"band_hits": sum(abs(bmin) <= VERTICAL_BAND for *_, bmin, _ in raw)},
-        )
-    )
+    # the classifier against the exact decisions from the signs of P and Q
+    out.append(_agreement("classifier_vs_bruteforce", *vertical_mismatches(), "(p, q, n, verdict)"))
 
     # Delta monotonicity in c, subset relations, and Delta_0 \ Gamma (the closure curves) next to Gamma
     p_axis, q_axis = np.linspace(-9, 4, 100), np.linspace(-4, 4, 100)
@@ -438,30 +446,21 @@ def suite_regions(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]:
 
     # scalar-positivity sufficiency is sound on a labeled sample
     labeled = sufficient_condition_samples(seed)
-    worst_min = math.inf
-    label_ok = True
-    for params, n, c in labeled:
-        lbl = rg.scalar_pos_sufficient(params, n, c)
-        label_ok &= lbl is not None
-        worst_min = min(worst_min, rg.scalar_grid_min(params, n, c))
+    label_ok = all(rg.scalar_pos_sufficient(params, n, c) is not None for params, n, c in labeled)
+    worst_min, params, n, c = min(
+        ((rg.scalar_grid_min(params, n, c), params, n, c) for params, n, c in labeled), key=lambda row: row[0]
+    )
     out.append(
-        _check_bool(
+        CheckResult(
             "scalar_sufficiency_sound",
-            label_ok and worst_min > 0,
-            f"{len(labeled)} labeled samples, min stilde {worst_min:.3g}",
+            "pass" if label_ok and worst_min > 0 else "fail",
+            detail=f"{len(labeled)} labeled samples, min stilde {worst_min:.3g}",
+            extra={"worst": f"p={params.p:g}, q={params.q:g}, n={n}, c={c:g}"},
         )
     )
 
-    # structured witness agrees with the K >= 0 classifier, both directions
-    raw = witness_mismatches(seed, 1e-9 * tol_scale)
-    bad = [(kind, n, c, round(p, 3), round(q, 3), m) for kind, n, c, p, q, m in raw]
-    out.append(
-        _check_bool(
-            "nonneg_sectional_witness",
-            not bad,
-            f"witness mismatches: {bad[:4]}" if bad else "both directions verified",
-        )
-    )
+    # the K >= 0 classifier against the exact decisions from P, Q and mu
+    out.append(_agreement("nonneg_sectional_witness", *witness_mismatches(seed), "(p, q, n, c, verdict)"))
 
     # constructive searches, the full (n, c) matrix
     ok = True

@@ -81,15 +81,15 @@ def test_criterion_2_identity_suite():
 
 
 def test_criterion_3_region_equivalence():
-    # the loops of verify.suite_regions at seed 0: band 1e-7, witness -1e-9
-    disagreements = vertical_mismatches(seed=0)
-    witness_bad = witness_mismatches(seed=0, sound_tol=1e-9)
+    # the loops of verify.suite_regions at seed 0: the classifiers against the exact decisions
+    vertical, disagreements = vertical_mismatches()
+    witnessed, witness_bad = witness_mismatches(seed=0)
     ok = not disagreements and not witness_bad
     assert report(
         3, ok,
-        f"vertical positivity vs brute force on 1500 points x n in {{2,3}} "
-        f"({len(disagreements)} outside 1e-7 band); K>=0 witness on 500 points per "
-        f"c in {{0,1,16/3,6}} ({len(witness_bad)} mismatches)",
+        f"vertical positivity vs the signs of P and Q: {vertical} exact decisions on 1500 points x n in "
+        f"{{2,3}} ({len(disagreements)} disagree); K>=0 vs P, Q and mu: {witnessed} exact decisions on "
+        f"500 points per c in {{0,1,16/3,6}} x n in {{2,3}} ({len(witness_bad)} disagree)",
     ), (disagreements[:3], witness_bad[:3])
 
 

@@ -10,10 +10,9 @@ from numpy.testing import assert_allclose
 
 from cgm.curvature import BaseCurvature, FiberPoint, LiftVector, sectional_plane
 from cgm.scalars import Params, hyperbola_lambda, mu, poly_G
-from cgm.verify import DELTA_C, delta_grid_verdicts
+from cgm.verify import DELTA_C, _exact_nonneg, _exact_vertical, _sign_holds, delta_grid_verdicts
 from cgm.regions import (
     _coeff_polys_in_q,
-    brute_force_vertical_positivity,
     classify,
     find_params_general,
     find_params_thm1,
@@ -94,9 +93,9 @@ class TestVerticalPositivity:
         assert vertical_positivity(Params(p, q), n) is expected
 
     def test_brute_force_examples(self):
-        assert brute_force_vertical_positivity(Params(1, 1), 3, 10_000, seed=5)
-        assert not brute_force_vertical_positivity(Params(3, 0), 3, 10_000, seed=5)
-        assert not brute_force_vertical_positivity(Params(0, 0), 3, 100, seed=5)
+        assert _exact_vertical(Params(1, 1), 3)
+        assert not _exact_vertical(Params(3, 0), 3)
+        assert not _exact_vertical(Params(0, 0), 3)
 
     def test_brute_force_deterministic_in_seed(self):
         a = vertical_curvature_minimum(Params(1.4, -0.2), 3, 5000, seed=11)
@@ -112,6 +111,42 @@ class TestVerticalPositivity:
                 bmin = vertical_curvature_minimum(Params(p, q), n, 10_000, seed=7)
                 if abs(bmin) > 1e-7:
                     assert cl == (bmin > 0), (p, q, n, bmin)
+
+
+class TestExactDecisions:
+    """The sign rule of verify's region checks, and the two decisions built on it."""
+
+    @pytest.mark.parametrize("coeffs, q, strict, nonstrict", [
+        ((2, -2, 1), 0, True, True),  # vertex t = 1 inside, discriminant < 0
+        ((1, -2, 1), 0, False, True),  # discriminant = 0: a double root at the vertex
+        ((2, -3, 1), 0, False, False),  # discriminant > 0: roots 1 and 2
+        ((2, -2, 1), Fraction(-1, 4), True, True),  # the same vertex inside a bounded fibre
+        ((25, -10, 1), Fraction(-1, 4), True, True),  # vertex 5 past T = 4: decreasing to P(4) = 1
+        ((2, -1, 0), Fraction(-1, 2), True, True),  # root at T = 2, approached from above
+        ((2, -3, 1), Fraction(-1, 2), False, False),  # root at T = 2 with positive slope, negative on (1, 2)
+        ((4, -4, 1), Fraction(-1, 2), True, True),  # double root at T = 2
+        ((1, 0, -1), 0, False, False),  # c2 < 0 on an unbounded fibre
+        ((1, 0, -1), Fraction(1, 2), False, False),
+        ((1, 0, -1), -2, True, True),  # c2 < 0, T = 1/2: P(T) = 3/4
+        ((1, 1, 0), 0, True, True),  # linear
+        ((1, -1, 0), 0, False, False),
+        ((1, -1, 0), -1, True, True),  # linear with its root at T = 1
+        ((0, 1, 0), 0, False, True),
+        ((1, 0, 0), 0, True, True),  # constant
+        ((0, 0, 0), 0, False, True),
+        ((-1, 0, 0), Fraction(-1, 2), False, False),
+    ])
+    def test_sign_rule_on_hand_quadratics(self, coeffs, q, strict, nonstrict):
+        coeffs, q = tuple(map(Fraction, coeffs)), Fraction(q)
+        assert _sign_holds(coeffs, q, True) is strict
+        assert _sign_holds(coeffs, q, False) is nonstrict
+
+    def test_denormal_q_nonneg_decision(self):
+        # P = 4 + 4qt - qt^2 turns negative near t ~ 9e161, where A and B underflow
+        for n in (2, 3):
+            for c in (0, 1):
+                assert not _exact_nonneg(Params(2, 5e-324), n, c)
+                assert not nonneg_sectional(Params(2, 5e-324), n, c)
 
 
 class TestNonnegSectional:
@@ -332,15 +367,21 @@ def _classify_digest_points() -> list:
 def test_classify_record_digest():
     # sha256 of every classify record plus the vertical-positivity and K >= 0
     # verdicts on a grid through the region boundaries; the digest was
-    # recorded before the region rules were merged, and pins every bit
+    # recorded before the region rules were merged, and pins every bit.
+    # The two verdicts also equal verify's exact decisions from P, Q and mu
+    # (K >= 0 at c in {-1} and DELTA_C).
     h = hashlib.sha256()
     for p, q in _classify_digest_points():
         params = Params(p, q)
         for n in (2, 3):
-            h.update(f"{p},{q},{n},{vertical_positivity(params, n)}\n".encode())
+            vertical = vertical_positivity(params, n)
+            assert vertical == _exact_vertical(params, n), (p, q, n)
+            h.update(f"{p},{q},{n},{vertical}\n".encode())
             for c in (None, -1, 0, Fraction(1, 2), 1, Fraction(4, 3), 2, 4, Fraction(16, 3), 6):
                 rec = json.dumps(classify(params, n, c).as_dict())
                 nonneg = None if c is None else nonneg_sectional(params, n, c)
+                if c in (-1,) + DELTA_C:
+                    assert nonneg == _exact_nonneg(params, n, c), (p, q, n, c)
                 h.update(f"{c},{rec},{nonneg}\n".encode())
     assert h.hexdigest() == "8a00ed91ee23e2a4141c0ccc85870495e0c282799730532339ad9ce119b26003"
 

@@ -27,6 +27,7 @@ from cgm.scalars import (
     poly_P,
     poly_Q,
     scalar_curvature_spaceform,
+    weights_AB,
 )
 
 finite = st.floats(min_value=-6, max_value=6, allow_nan=False)
@@ -259,6 +260,11 @@ def test_f_sup_cases():
     assert not res.attained
     assert_allclose(res.sup, f_value(0.5, 1.5), rtol=1e-14)
     assert f_sup(Params(0.5, 1)).sup == math.inf
+    # p < 1 and q < 0: f increases up to the open end -1/q
+    for p, q, sup in ((0.5, -1, 2**-0.5), (0, -2, 0.5), (-1, -0.5, 6.0)):
+        res = f_sup(Params(p, q))
+        assert not res.attained and res.argmax is None
+        assert_allclose(res.sup, sup, rtol=1e-14)
 
 
 @given(
@@ -275,6 +281,29 @@ def test_f_sup_dominates_grid(p, q):
     gmax = float(f_value(grid, p).max())
     assert gmax <= res.sup + 1e-12
     assert gmax >= res.sup - 1e-3
+
+
+def test_vertical_families_are_P_and_Q():
+    # (1+t)^2 (A t + B) = omega_q P(t) and (1+t)^2 B = omega_q Q(t), which let the signs of P
+    # and Q decide the vertical planes; the error is measured against the size of the summands,
+    # since A cancels in p + 2q - 2 (the first point)
+    rng = np.random.default_rng(29)
+    points = [(2.0, 1e-7, 0.0), (2.0, 1e-7, 3.0)]
+    for _ in range(2000):
+        p, q = rng.uniform(-9, 4), rng.uniform(-4, 4)
+        points.append((p, q, rng.uniform(0, 0.99 / -q if q < 0 else 50.0)))
+    for p, q, t in points:
+        params = Params(p, q)
+        _, wq, A, B = weights_AB(params, t)
+        lift = (1 + t) ** 2
+        size = wq * (
+            abs(p) * t * (abs(p) + 3 * abs(q) * (1 + t) + 2)
+            + p * p + abs(p * (p - 2)) * (1 + t) + abs(q) * (1 + t) ** 2
+            + sum(abs(float(ck)) * t**k for poly in (poly_P(params), poly_Q(params))
+                  for k, ck in enumerate(poly.coefficients))
+        )
+        assert abs(lift * (A * t + B) - wq * poly_P(params).evaluate(t)) <= 1e-14 * size, (p, q, t)
+        assert abs(lift * B - wq * poly_Q(params).evaluate(t)) <= 1e-14 * size, (p, q, t)
 
 
 def test_scalar_curvature_zero_section():
