@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Emit CSV + SVG rasters of the parameter-plane regions.
 
-Produces the fibre-positivity regions (both dimensional variants) and the
-K >= 0 regions for a few base curvatures into an output directory.
+Produces the fibre-positivity regions (both dimensional variants, and the
+vertical-positivity raster for n = 2, which equals Gamma'), the K >= 0
+regions for a few base curvatures and the scalar-sufficient region into an
+output directory: the eight rasters of the benchmark's atlas workload, under
+the same names without its "atlas_" prefix.
 
 Usage: python scripts/region_atlas.py [outdir]
 """
@@ -32,6 +35,7 @@ def main() -> int:
     for c in (0, 1, Fraction(16, 3), 6):
         emit(outdir, f"delta_c{float(c):g}", ScanSpec(p_range, q_range, 3, c, "delta"))
     emit(outdir, "scalar_sufficient_c4", ScanSpec(p_range, q_range, 3, 4, "scalar_sufficient"))
+    emit(outdir, "vertical_positive_n2", ScanSpec(p_range, q_range, 2, None, "vertical_positive"))
     return 0
 
 

@@ -11,7 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import functools
+import itertools
 import json
 import math
 import sys
@@ -87,15 +87,26 @@ def run_scan(spec: ScanSpec) -> list[tuple[float, float, float]]:
     return _scan(spec)[0]
 
 
+def _write_cells(fh, cells, head, tail) -> None:
+    """Write each cell (p, q, v) as head(p) + tail(q, v), 4096 cells at a time as a float array:
+    one tail per distinct (q, v) bit pattern, one write h + h.join(tails) per run of equal p bits."""
+    for part in (cells[i:i + 4096] for i in range(0, len(cells), 4096)):
+        cell = np.fromiter(itertools.chain.from_iterable(part), float, count=3 * len(part)).reshape(-1, 3)
+        bits = cell.view(np.int64)  # -0.0 == 0.0, but "-0" != "0"
+        # return_index=True: the stable sort of the tail key below, not a second sort kernel to page in
+        (_, _, q_of), (_, _, v_of) = (np.unique(bits[:, j], return_index=True, return_inverse=True) for j in (1, 2))
+        _, first, tail_of = np.unique(q_of * (v_of.max() + 1) + v_of, return_index=True, return_inverse=True)
+        tails = np.array([tail(*part[k][1:]) for k in first.tolist()], dtype=object)
+        runs = (np.flatnonzero(bits[1:, 0] != bits[:-1, 0]) + 1).tolist()
+        for a, b in zip([0] + runs, runs + [len(part)]):
+            h = head(part[a][0])
+            fh.write(h + h.join(tails[tail_of[a:b]].tolist()))
+
+
 def write_scan_csv(path: str, spec: ScanSpec, cells) -> None:
-    text = functools.cache(lambda key: _fmt(float.fromhex(key)))  # by float.hex, as -0.0 == 0.0 but "-0" != "0"
-    head = last_p = None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("p,q,predicate,value\n")
-        for p, q, v in cells:
-            if p is not last_p:  # rows come one p column at a time
-                head, last_p = f"{_fmt(p)},", p
-            fh.write(f"{head}{text(q.hex())},{spec.predicate},{text(v.hex())}\n")
+        _write_cells(fh, cells, lambda p: f"{_fmt(p)},", lambda q, v: f"{_fmt(q)},{spec.predicate},{_fmt(v)}\n")
 
 
 def write_scan_svg(path: str, spec: ScanSpec, cells) -> None:
@@ -108,6 +119,10 @@ def write_scan_svg(path: str, spec: ScanSpec, cells) -> None:
     xs = {v: i * cell_px + 1 for i, v in enumerate(p_vals)}
     ys = {v: (len(q_vals) - 1 - i) * cell_px + 1 for i, v in enumerate(q_vals)}  # q grows upward
     dark, light = "#1f3a6e", "#e8ecf4"
+
+    def tail(q, v):
+        fill = "url(#hatch)" if math.isnan(v) else (dark if v > 0.5 else light)
+        return f'{ys[q]}" width="{cell_px}" height="{cell_px}" fill="{fill}"/>\n'
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}" '
@@ -115,9 +130,7 @@ def write_scan_svg(path: str, spec: ScanSpec, cells) -> None:
             "<defs><pattern id=\"hatch\" width=\"4\" height=\"4\" patternUnits=\"userSpaceOnUse\">"
             "<path d=\"M0,4 L4,0\" stroke=\"#8a8a8a\" stroke-width=\"1\"/></pattern></defs>\n"
         )
-        for p, q, v in cells:
-            fill = "url(#hatch)" if math.isnan(v) else (dark if v > 0.5 else light)
-            fh.write(f'<rect x="{xs[p]}" y="{ys[q]}" width="{cell_px}" height="{cell_px}" fill="{fill}"/>\n')
+        _write_cells(fh, cells, lambda p: f'<rect x="{xs[p]}" y="', tail)  # positions by value, as dict keys
         ly = len(q_vals) * cell_px + 6
         for x, fill, label in ((2, dark, spec.predicate), (90, light, "outside"), (160, "url(#hatch)", "n/a")):
             fh.write(f'<rect x="{x}" y="{ly}" width="10" height="10" fill="{fill}"/>\n')

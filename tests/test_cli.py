@@ -358,6 +358,68 @@ class TestByteIdentity:
         assert code == 0
         assert hashlib.sha256(csv.read_bytes() + svg.read_bytes()).hexdigest() == digest
 
+    ATLAS = {  # the benchmark's atlas grid, 29,161 cells
+        "gamma": (3, None, "65ba6072c597d136733a41ad1b914b9325ddbb703d5f5f2e25e39de780e1306f"),
+        "delta": (3, Fraction(16, 3), "02b13b8df0125a724ef1e0643538bdb68b4781ecc94d4cedb46d66732389fb57"),
+    }
+
+    @pytest.mark.parametrize("predicate", list(ATLAS))
+    def test_atlas_grid_digest(self, predicate, tmp_path):
+        n, c, digest = self.ATLAS[predicate]
+        spec = ScanSpec((-9, 3, Fraction(1, 20)), (-3, 3, Fraction(1, 20)), n, c, predicate)
+        cells = run_scan(spec)
+        csv, svg = tmp_path / "a.csv", tmp_path / "a.svg"
+        write_scan_csv(str(csv), spec, cells)
+        write_scan_svg(str(svg), spec, cells)
+        assert hashlib.sha256(csv.read_bytes() + svg.read_bytes()).hexdigest() == digest
+
+    EDGE_CSV = (
+        "p,q,predicate,value\n"
+        "-0,0.5,gamma,1\n-0,0,gamma,nan\n-0,-0.5,gamma,0.25\n"
+        "0,-0.5,gamma,-0\n0,-0,gamma,0\n0,0.5,gamma,1\n"
+        "1e-13,-0.5,gamma,0.25\n1e-13,0,gamma,1\n1e-13,0.5,gamma,nan\n"
+        "0.5,0.5,gamma,0\n0.5,-0,gamma,0.25\n0.5,-0.5,gamma,-0\n"
+    )
+    SVG_HEAD = (
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{w}" height="{h}" viewBox="0 0 {w} {h}">\n'
+        '<defs><pattern id="hatch" width="4" height="4" patternUnits="userSpaceOnUse">'
+        '<path d="M0,4 L4,0" stroke="#8a8a8a" stroke-width="1"/></pattern></defs>\n'
+    )
+    SVG_LEGEND = (
+        '<rect x="2" y="{y}" width="10" height="10" fill="#1f3a6e"/>\n<text x="16" y="{t}" font-size="9">gamma</text>\n'
+        '<rect x="90" y="{y}" width="10" height="10" fill="#e8ecf4"/>\n<text x="104" y="{t}" font-size="9">outside</text>\n'
+        '<rect x="160" y="{y}" width="10" height="10" fill="url(#hatch)"/>\n<text x="174" y="{t}" font-size="9">n/a</text>\n'
+        "</svg>\n"
+    )
+    EDGE_RECTS = [  # (x, y, fill) per cell; -0.0 and 0.0 share a column and a row
+        (1, 1, "#1f3a6e"), (1, 7, "url(#hatch)"), (1, 13, "#e8ecf4"),
+        (1, 13, "#e8ecf4"), (1, 7, "#e8ecf4"), (1, 1, "#1f3a6e"),
+        (7, 13, "#e8ecf4"), (7, 7, "#1f3a6e"), (7, 1, "url(#hatch)"),
+        (13, 1, "#e8ecf4"), (13, 7, "#e8ecf4"), (13, 13, "#e8ecf4"),
+    ]
+
+    def test_writer_edge_cases(self, tmp_path):
+        """Signed zeros, NaN, 0.25, a tiny p, equal p of distinct objects, q running down a column."""
+        nan = float("nan")
+        cells = [
+            (-0.0, 0.5, 1.0), (-0.0, 0.0, nan), (-0.0, -0.5, 0.25),
+            (0.0, -0.5, -0.0), (0.0, -0.0, 0.0), (0.0, 0.5, 1.0),
+            (1e-13, -0.5, 0.25), (1e-13, 0.0, 1.0), (1e-13, 0.5, nan),
+            (float("0.5"), 0.5, 0.0), (float("0.5"), -0.0, 0.25), (float("0.5"), -0.5, -0.0),
+        ]
+        assert cells[9][0] is not cells[10][0]
+        rects = "".join(f'<rect x="{x}" y="{y}" width="6" height="6" fill="{f}"/>\n' for x, y, f in self.EDGE_RECTS)
+        spec = ScanSpec((0, 1, 1), (0, 1, 1), 3, None, "gamma")
+        csv, svg = tmp_path / "e.csv", tmp_path / "e.svg"
+        for given, want_csv, want_svg in (
+            (cells, self.EDGE_CSV, self.SVG_HEAD.format(w=20, h=44) + rects + self.SVG_LEGEND.format(y=24, t=33)),
+            ([], "p,q,predicate,value\n", self.SVG_HEAD.format(w=2, h=26) + self.SVG_LEGEND.format(y=6, t=15)),
+        ):
+            write_scan_csv(str(csv), spec, given)
+            write_scan_svg(str(svg), spec, given)
+            assert csv.read_bytes().decode() == want_csv
+            assert svg.read_bytes().decode() == want_svg
+
     @pytest.mark.parametrize("flags, digest", CURVATURE, ids=["h11_n3", "ball_bundle_n2"])
     def test_curvature_digest(self, flags, digest, capsys):
         code, out, _ = run_cli(capsys, "curvature", *flags)
