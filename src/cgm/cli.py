@@ -112,6 +112,9 @@ def write_scan_csv(path: str, spec: ScanSpec, cells) -> None:
 def write_scan_svg(path: str, spec: ScanSpec, cells) -> None:
     p_vals = sorted({c[0] for c in cells})
     q_vals = sorted({c[1] for c in cells})
+    for axis, vals in (("p", p_vals), ("q", q_vals)):
+        if any(math.isnan(v) for v in vals):  # NaN keys its position by object, not by value
+            raise ValueError(f"a cell has NaN {axis}: no position in the SVG")
     cell_px = 6
     legend_h = 24
     width = len(p_vals) * cell_px + 2
@@ -221,12 +224,15 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_find_params(args) -> int:
+    t0 = time.perf_counter()
     if args.nonneg_q:
         result = find_params_thm3(args.n, args.c)
         route = "nonnegative-q coefficient search"
     else:
         result = find_params_thm1(args.n, args.c)
         route = "minimal-mu grid search"
+    search_s = time.perf_counter() - t0 - result.certificate_s
+    print(f"find-params: {route}, search {search_s:.3f} s, certificate {result.certificate_s:.3f} s", file=sys.stderr)
     p, q = float(result.params.p), float(result.params.q)
     print(f"route = {route}")
     print(f"p = {_fmt(p)}")

@@ -17,10 +17,12 @@ The sampled minima :func:`vertical_curvature_minimum` and
 :func:`sectional_witness_min` evaluate the plane families at drawn radii; they
 are diagnostics, and `verify` decides the region checks exactly instead.
 
-The constructive searches return a :class:`SearchResult` whose certificate
-records the grid minimum of the scalar curvature (always positive) and, for
-the nonnegative-q route, the all-positive coefficient list of the sign
-polynomial G.
+The scalar-curvature grids share one read-only radius grid for q >= 0;
+:func:`scalar_positivity_interval` evaluates f and phi on its grid once per
+call (bit-identical ends).  The constructive searches return a
+:class:`SearchResult` whose certificate records the grid minimum of the scalar
+curvature (always positive) and, for the nonnegative-q route, the
+all-positive coefficient list of the sign polynomial G.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
@@ -49,6 +52,8 @@ from .scalars import (
     poly_P,
     poly_Q,
     scalar_curvature_spaceform,
+    scalar_from_parts,
+    scalar_parts,
     weights_AB,
 )
 
@@ -295,63 +300,61 @@ GRID_POINTS, GRID_CAP = 10000, 1e6  # the radius grid of scalar_grid_min and the
 INTERVAL_TOL = 1e-6  # the accuracy of each end of scalar_positivity_interval
 
 
+_GRID_UNBOUNDED = np.concatenate([[0.0], np.geomspace(1e-8, GRID_CAP, GRID_POINTS - 1)])
+_GRID_UNBOUNDED.setflags(write=False)
+_NEAR_END = 1.0 - np.geomspace(1e-6, 1e-3, GRID_POINTS - GRID_POINTS // 2)
+_NEAR_END.setflags(write=False)
+
+
 def _t_grid(params: Params) -> np.ndarray:
-    """Deterministic grid over the admissible fibre radii (log-spaced, with 0)."""
+    """Deterministic grid over the admissible fibre radii (log-spaced, with 0): one shared read-only
+    array for q >= 0; for q < 0 built from the read-only offsets ``_NEAR_END`` = 1 - t/T, T = -1/q."""
     q = float(params.q)
     if q >= 0:
-        return np.concatenate([[0.0], np.geomspace(1e-8, GRID_CAP, GRID_POINTS - 1)])
+        return _GRID_UNBOUNDED
     tb = -1.0 / q
-    k = GRID_POINTS // 2
-    low = np.linspace(0.0, tb * (1 - 1e-3), k)
-    near = tb * (1.0 - np.geomspace(1e-6, 1e-3, GRID_POINTS - k))
-    return np.unique(np.concatenate([low, near]))
+    low = np.linspace(0.0, tb * (1 - 1e-3), GRID_POINTS // 2)
+    return np.unique(np.concatenate([low, tb * _NEAR_END]))
 
 
 def scalar_grid_min(params: Params, n: int, c: Number) -> float:
     return float(scalar_curvature_spaceform(params, n, c, _t_grid(params)).min())
 
 
-def _tail_limit(params: Params, n: int, c: Number) -> float:
-    """Limit of stilde/(n-1) as t -> infinity (q >= 0 only), by leading terms."""
+def _phi_limit(params: Params, n: int) -> float:
+    """Limit of phi(t) as t -> infinity (q >= 0), by the leading term of C."""
     p, q = float(params.p), float(params.q)
-    cf = float(c)
-    if q < 0:
-        raise ValueError("tail analysis applies to unbounded fibre ranges only")
-    if cf != 0 and p < 1:
-        return -math.inf  # f(t) ~ t^(1-p) dominates every other term
     cpoly = poly_C(params, n)
     d = cpoly.degree()
     lead = float(cpoly.coefficients[d])
-    if lead == 0.0:
-        phi_inf = 0.0
-    else:
-        expo = d + (p - 2) - (2 if q > 0 else 0)
-        if expo > 0:
-            phi_inf = math.copysign(math.inf, lead)
-        elif expo == 0:
-            phi_inf = lead / (q * q) if q > 0 else lead
-        else:
-            phi_inf = 0.0
-    f_inf = 0.0 if (cf == 0 or p > 1) else 1.0  # p == 1 here; p < 1 handled above
-    return n * cf - 0.5 * cf * cf * f_inf + phi_inf
+    expo = d + (p - 2) - (2 if q > 0 else 0)
+    if lead == 0.0 or expo < 0:
+        return 0.0
+    if expo > 0:
+        return math.copysign(math.inf, lead)
+    return lead / (q * q) if q > 0 else lead
 
 
 def scalar_positivity_interval(params: Params, n: int) -> tuple[float, float]:
     """Interval of base curvatures c around 0 with positive scalar curvature.
 
     Bisection around the seed c = 0 on the predicate "grid minimum positive,
-    tail limit nonnegative"; each returned end is the outermost c at which the
-    predicate held, accurate to INTERVAL_TOL.  The ends can belong to the set: for
-    h_{1,1}, n = 2, the end c = 4 has G = 14 + 22t + 8t^2.  Returns (nan, nan)
-    when the seed itself fails.
+    tail limit (t -> infinity, q >= 0) nonnegative"; each end is the outermost c
+    at which it held, accurate to INTERVAL_TOL.  The ends can belong to the set:
+    for h_{1,1}, n = 2, the end c = 4 has G = 14 + 22t + 8t^2.  Returns (nan, nan)
+    when the seed fails.  f, phi and their limits are evaluated once, not per c.
     Implemented for q >= 0 and for the bounded-range family p + q >= 1, q < 0.
     """
     p, q = float(params.p), float(params.q)
     if q < 0 and p + q < 1:
         raise ValueError("interval search implemented for q >= 0 or p + q >= 1")
+    f, phi_t = scalar_parts(params, n, _t_grid(params))
+    f_inf = 0.0 if p > 1 else 1.0 if p == 1 else math.inf
+    phi_inf = math.nan if q < 0 else _phi_limit(params, n)
 
     def pred(c: float) -> bool:
-        return scalar_grid_min(params, n, c) > 0 and (q < 0 or _tail_limit(params, n, c) >= 0)
+        tail = q < 0 or scalar_from_parts(n, c, f_inf if c else 0.0, phi_inf) >= 0  # c^2 f -> 0 at c = 0
+        return float(scalar_from_parts(n, c, f, phi_t).min()) > 0 and tail
 
     if not pred(0.0):
         return (math.nan, math.nan)
@@ -501,14 +504,16 @@ def sectional_witness_min(params: Params, n: int, c: Number) -> float:
 
 @dataclass
 class SearchResult:
-    """Parameters returned by a search plus a positivity certificate."""
+    """Parameters returned by a search plus a positivity certificate, and the seconds the certificate took."""
 
     params: Params
     certificate: dict = field(default_factory=dict)
+    certificate_s: float = field(default=0.0, compare=False, repr=False)
 
 
-def _certificate(params: Params, n: int, c: Number, extra: Optional[dict] = None) -> dict:
-    """The grid minimum of the scalar curvature, and how many grid values overflowed (if any)."""
+def _certified(params: Params, n: int, c: Number, extra: dict) -> SearchResult:
+    """``params`` certified by the grid minimum of the scalar curvature, the overflow count, ``extra``."""
+    t0 = time.perf_counter()
     with np.errstate(over="ignore"):
         s = scalar_curvature_spaceform(params, n, c, _t_grid(params))
     m = float(s.min())
@@ -521,9 +526,8 @@ def _certificate(params: Params, n: int, c: Number, extra: Optional[dict] = None
     nonfinite = int(np.count_nonzero(~np.isfinite(s)))
     if nonfinite:
         cert["nonfinite_on_grid"] = nonfinite
-    if extra:
-        cert.update(extra)
-    return cert
+    cert.update(extra)
+    return SearchResult(params, cert, time.perf_counter() - t0)
 
 
 def find_params_thm1(n: int, c: Number) -> SearchResult:
@@ -538,7 +542,7 @@ def find_params_thm1(n: int, c: Number) -> SearchResult:
     cf = float(c)
     if n == 2 and cf == 0:
         params = Params(1, 0)
-        return SearchResult(params, _certificate(params, n, c, {"path": "c=0: any p>0 on q=0"}))
+        return _certified(params, n, c, {"path": "c=0: any p>0 on q=0"})
     if cf > 0:
         threshold = cf
     elif cf == 0:
@@ -556,7 +560,7 @@ def find_params_thm1(n: int, c: Number) -> SearchResult:
     p = float(pf)
     params = Params(p, 0.0) if n == 2 else Params(p, 1.0 - p)
     extra = {"path": f"grid p=2.0+0.1k, {steps} rejections, mu(p)={float(mu(pf)):.6g} > {threshold:.6g}"}
-    return SearchResult(params, _certificate(params, n, c, extra))
+    return _certified(params, n, c, extra)
 
 
 def _coeff_polys_in_q(p: int, n: int) -> tuple[tuple, tuple]:
@@ -584,11 +588,6 @@ def _all_positive(spec) -> bool:
     return all(coef > 0 for coef in spec.coefficients)
 
 
-def _g_result(params: Params, n: int, c: Fraction, g, path: str) -> SearchResult:
-    extra = {"G_coefficients": g.as_floats(), "path": path}
-    return SearchResult(params, _certificate(params, n, c, extra))
-
-
 def find_params_thm3(n: int, c: Number) -> SearchResult:
     """Parameters with q >= 0 and positive scalar curvature over M(c).
 
@@ -607,7 +606,7 @@ def find_params_thm3(n: int, c: Number) -> SearchResult:
         g = poly_G(params, n, 0)
         if not _all_positive(g):
             raise AssertionError("G positivity failed at the c=0 seed")
-        return _g_result(params, n, cx, g, "c=0: Cheeger-Gromoll point")
+        return _certified(params, n, cx, {"G_coefficients": g.as_floats(), "path": "c=0: Cheeger-Gromoll point"})
 
     if n == 2:
         p = 2
@@ -615,7 +614,7 @@ def find_params_thm3(n: int, c: Number) -> SearchResult:
             g = poly_G(Params(p, 0), n, cx)
             if _all_positive(g):
                 path_text = f"q=0, integer p ascent: accepted p={p} ({len(path)} rejections)"
-                return _g_result(Params(p, 0), n, cx, g, path_text)
+                return _certified(Params(p, 0), n, cx, {"G_coefficients": g.as_floats(), "path": path_text})
             path.append(p)
             p += 1
         raise RuntimeError("surface search failed to terminate")
@@ -639,7 +638,7 @@ def find_params_thm3(n: int, c: Number) -> SearchResult:
             g = poly_G(Params(p, q), n, cx)
             if _all_positive(g):
                 path_text = f"started p={p0}, accepted (p,q)=({p},{q}) after {len(path)} rejections"
-                return _g_result(Params(p, q), n, cx, g, path_text)
+                return _certified(Params(p, q), n, cx, {"G_coefficients": g.as_floats(), "path": path_text})
             path.append((p, q))
             q *= 2
     raise RuntimeError("coefficient-positivity search failed to terminate")

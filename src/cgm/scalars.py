@@ -393,10 +393,20 @@ def phi(params: Params, n: int, t: Radius) -> Radius:
     return (1.0 + t) ** (p - 2) * (1.0 + q * t) ** (-2) * cpoly.evaluate(t)
 
 
-def scalar_curvature_spaceform(params: Params, n: int, c: Number, t: Radius) -> Radius:
-    """Scalar curvature of h_{p,q} over a curvature-c space form at radius t (scalar or array)."""
+def scalar_parts(params: Params, n: int, t: Radius) -> tuple[Radius, Radius]:
+    """f(t) and phi(t) at checked radii t: the part of the scalar curvature that does not depend on c."""
     if n < 2:
         raise ValueError("n >= 2 required")
     check_fiber_radius(params, t)
-    c, t = float(c), as_float(t)
-    return (n - 1) * (n * c - 0.5 * c * c * f_value(t, float(params.p)) + phi(params, n, t))
+    return f_value(as_float(t), float(params.p)), phi(params, n, as_float(t))
+
+
+def scalar_from_parts(n: int, c: Number, f: Radius, phi_t: Radius) -> Radius:
+    """The scalar curvature over a curvature-c space form from the parts f, phi of :func:`scalar_parts`."""
+    c = float(c)
+    return (n - 1) * (n * c - 0.5 * c * c * f + phi_t)
+
+
+def scalar_curvature_spaceform(params: Params, n: int, c: Number, t: Radius) -> Radius:
+    """Scalar curvature of h_{p,q} over a curvature-c space form at radius t (scalar or array)."""
+    return scalar_from_parts(n, c, *scalar_parts(params, n, t))

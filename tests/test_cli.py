@@ -294,10 +294,16 @@ class TestCurvatureCommand:
         assert code == 0 and path.read_text().startswith("t,")
 
 
+def find_params_timing(route: str) -> str:
+    """The stderr line of find-params: the route, then the seconds of the search and of the certificate."""
+    return rf"find-params: {route}, search \d+\.\d{{3}} s, certificate \d+\.\d{{3}} s\n"
+
+
 class TestFindParamsCommand:
     def test_surface_route(self, capsys):
-        code, out, _ = run_cli(capsys, "find-params", "--n", "2", "--c", "-1")
+        code, out, err = run_cli(capsys, "find-params", "--n", "2", "--c", "-1")
         assert code == 0
+        assert re.fullmatch(find_params_timing("minimal-mu grid search"), err)
         payload = last_json(out)
         assert (payload["p"], payload["q"]) == (2.0, 0.0)
         assert payload["min_scalar_on_grid"] > 0
@@ -317,8 +323,9 @@ class TestFindParamsCommand:
         assert payload["p"] > 143 and payload["min_scalar_on_grid"] > 0
 
     def test_nonneg_route(self, capsys):
-        code, out, _ = run_cli(capsys, "find-params", "--n", "3", "--c", "-1", "--nonneg-q")
+        code, out, err = run_cli(capsys, "find-params", "--n", "3", "--c", "-1", "--nonneg-q")
         assert code == 0
+        assert re.fullmatch(find_params_timing("nonnegative-q coefficient search"), err)
         payload = last_json(out)
         assert payload["q"] >= 0
         assert all(v > 0 for v in payload["G_coefficients"])
@@ -419,6 +426,9 @@ class TestByteIdentity:
             write_scan_svg(str(svg), spec, given)
             assert csv.read_bytes().decode() == want_csv
             assert svg.read_bytes().decode() == want_svg
+        for axis, cell in (("p", (nan, 0.5, 1.0)), ("q", (0.0, nan, 1.0))):
+            with pytest.raises(ValueError, match=f"NaN {axis}"):
+                write_scan_svg(str(svg), spec, [(0.0, 0.5, 0.0), cell])
 
     @pytest.mark.parametrize("flags, digest", CURVATURE, ids=["h11_n3", "ball_bundle_n2"])
     def test_curvature_digest(self, flags, digest, capsys):

@@ -13,6 +13,7 @@ from cgm.scalars import Params, hyperbola_lambda, mu, poly_G
 from cgm.verify import DELTA_C, _exact_nonneg, _exact_vertical, _sign_holds, delta_grid_verdicts
 from cgm.regions import (
     _coeff_polys_in_q,
+    _t_grid,
     classify,
     find_params_general,
     find_params_thm1,
@@ -324,6 +325,52 @@ class TestInterval:
     def test_unsupported_family_rejected(self):
         with pytest.raises(ValueError):
             scalar_positivity_interval(Params(1, -0.5), 3)
+
+    # float.hex of both ends for the cases of scripts/positivity_intervals.py, as evaluating the scalar
+    # curvature afresh at every bisection step gives them: sharing f and phi across steps keeps every bit
+    ENDS = {
+        (1, 1, 2): ("0x0.0p+0", "0x1.0000000000000p+2"),
+        (1, 1, 3): ("-0x1.4439400000000p-2", "0x1.9443940000000p+2"),
+        (1, 0, 2): ("0x0.0p+0", "0x1.0000000000000p+2"),
+        (1, 0, 3): ("-0x1.4439400000000p-2", "0x1.9443940000000p+2"),
+        (2, 0, 2): ("-0x1.a827980000000p+1", "0x1.3504f40000000p+4"),
+        (2, 0, 3): ("-0x1.bef7a80000000p+1", "0x1.b7def60000000p+4"),
+        (1, 2, 2): ("0x0.0p+0", "0x1.0000000000000p+2"),
+        (1, 2, 3): ("-0x1.4439400000000p-2", "0x1.9443940000000p+2"),
+        (2, 1, 2): ("nan", "nan"),
+        (2, 1, 3): ("-0x1.e33b200000000p+0", "0x1.a64e8e0000000p+4"),
+        (3, 2, 2): ("nan", "nan"),
+        (3, 2, 3): ("-0x1.0595ac0000000p+2", "0x1.697b0d0000000p+5"),
+        (2, -1, 2): ("-0x1.7fb2500000000p+1", "0x1.5c49040000000p+4"),
+        (2, -1, 3): ("-0x1.7ffff80000000p+1", "0x1.de9b5f0000000p+4"),
+        (3, -2, 2): ("-0x1.fffff80000000p+1", "0x1.2ea23f8000000p+5"),
+        (3, -2, 3): ("-0x1.fffff80000000p+1", "0x1.9c9a3e8000000p+5"),
+    }
+
+    @pytest.mark.parametrize("p, q, n", list(ENDS))
+    def test_ends_pinned(self, p, q, n):
+        assert tuple(v.hex() for v in scalar_positivity_interval(Params(p, q), n)) == self.ENDS[p, q, n]
+
+
+class TestRadiusGrid:
+    # sha256 of the grid bytes as built afresh on every call: the shared and read-only arrays keep every bit
+    SHA256 = {
+        0: "b148699cf44ad744d94b6742ccb901c8a57f7dbe9945862df1495c0d92c7b1e8",
+        0.5: "b148699cf44ad744d94b6742ccb901c8a57f7dbe9945862df1495c0d92c7b1e8",
+        -0.5: "5eef3ab2767b4a6032fe06d4242962b9674db77feb6b7458587bb10ffba9a84d",
+        -2: "9a95d8bdf9532ac9f4418de55c076092f75d7e8325e89c0d9097b02a30cfec1d",
+        -1e-3: "a48390535a5c459ac2772fbd8beb3d997d6e87706759875590851cadddbe59aa",
+    }
+
+    @pytest.mark.parametrize("q", list(SHA256))
+    def test_grid_pinned(self, q):
+        assert hashlib.sha256(_t_grid(Params(1, q)).tobytes()).hexdigest() == self.SHA256[q]
+
+    def test_unbounded_grid_is_shared_and_read_only(self):
+        grid = _t_grid(Params(1, 0))
+        assert _t_grid(Params(3, 0.5)) is grid
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
 
 
 def test_delta_monotone_in_c_on_grid():
