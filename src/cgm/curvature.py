@@ -66,9 +66,9 @@ class FiberPoint:
         return cls(np.zeros(n))
 
     @classmethod
-    def radial(cls, t: float, n: int, axis: int = 0) -> "FiberPoint":
+    def radial(cls, t: float, n: int) -> "FiberPoint":
         e = np.zeros(n)
-        e[axis] = math.sqrt(t)
+        e[0] = math.sqrt(t)
         return cls(e)
 
     @property

@@ -7,11 +7,13 @@ comparisons are performed in exact rational arithmetic whenever the inputs are
 rational (floats are compared exactly as the rationals they represent, never
 with an epsilon), and the boundary curves lambda, nu are evaluated exactly.
 Two decisions are floats: the cut mu(p) >= 3c/4 for non-integer p, and the
-products of scalar_pos_sufficient with the square-root multipliers m1..m5.
-:func:`scan_column` runs the same rules on a column of exact p and float q.
-There every comparison compares q with an exact threshold tau(p), and the
-correctly rounded float(tau) settles it unless q == float(tau): a tie, left to
-the per-cell rule.
+window test |c - k s| < k m s of :func:`sufficient_cases`, the one rule set of
+the sufficient conditions for positive scalar curvature, with the square-root
+multipliers m1..m5.  :func:`scan_column` runs the same rules on a column of
+exact p and float q.  There every comparison compares q with an exact
+threshold tau(p), and the correctly rounded float(tau) settles it unless
+q == float(tau): a tie, left to the per-cell rule, as are the sufficient
+cases' regions, whose windows depend on q.
 
 The sampled minima :func:`vertical_curvature_minimum` and
 :func:`sectional_witness_min` evaluate the plane families at drawn radii; they
@@ -22,7 +24,8 @@ The scalar-curvature grids share one read-only radius grid for q >= 0;
 call (bit-identical ends).  The constructive searches return a
 :class:`SearchResult` whose certificate records the grid minimum of the scalar
 curvature (always positive) and, for the nonnegative-q route, the
-all-positive coefficient list of the sign polynomial G.
+all-positive coefficient list of the sign polynomial G, the first of the
+candidates of one generator that has it.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import numpy as np
 from .scalars import (
     Params,
     analysis_scalars,
+    as_exact,
     as_fraction,
     f_sup,
     hyperbola_lambda,
@@ -79,7 +83,8 @@ class _Column:
     def __init__(self, q: np.ndarray):
         self.q, self.tie = q, np.zeros(q.shape, dtype=bool)
 
-    __gt__, __ge__, __lt__, __eq__ = map(_compare, (operator.gt, operator.ge, operator.lt, operator.eq))
+    __gt__, __ge__, __lt__, __le__, __eq__ = map(
+        _compare, (operator.gt, operator.ge, operator.lt, operator.le, operator.eq))
 
 
 # The rules below take p exact and q exact or a _Column: they join conditions on q
@@ -204,6 +209,35 @@ def nonneg_sectional(params: Params, n: int, c: Number) -> bool:
     return _delta_pair(as_fraction(params.p), as_fraction(params.q), as_fraction(c))[n == 2]
 
 
+def sufficient_cases(p, q, n: int):
+    """The sufficient conditions for positive scalar curvature at c != 0, in order and lazily:
+    (case, region, window).  ``window()`` is (k s, k m s), the center and radius of the open
+    window |c - k s| < k m s of c, with s = mu(p) or 1 and m a multiplier of
+    :func:`multipliers` or 1; it is None outside the multiplier's domain.  p is exact, q exact
+    or a _Column (whose cases give regions only): cases (a)-(e) for n = 2, (a)-(d) for n >= 3."""
+
+    def window(k, m=None, scaled=True):
+        def bounds():
+            mult = 1 if m is None else getattr(multipliers(Params(p, q), n), m)
+            s = float(mu(p)) if scaled else 1
+            return None if mult is None else (k * s, k * mult * s)
+        return bounds
+
+    if n == 2:
+        yield "a", p == 1 and q > 0, window(2, scaled=False)
+        yield "b", 1 <= p < 2 and q == 0, window(2)
+        yield "c", p >= 2 and q == 0, window(2, "m2")
+        if p > 1:  # cases (d) and (e) lie in q < 0 < p - 1, where nu(p) < 0
+            nu = hyperbola_nu(p)
+            yield "d", (q < 0) & (q >= nu), window(2, "m4")
+            yield "e", (q >= 1 - p) & (q <= nu), window(2, "m5")
+    else:
+        yield "a", p == 1 and q > 0, window(n, "m1", scaled=False)
+        yield "b", 1 <= p < 2 and q == 0, window(n, "m1")
+        yield "c", p == 2 and q == 0, window(4 * n, "m2", scaled=False)
+        yield "d", p > 1 and q == 1 - p, window(n, "m3")
+
+
 def scalar_pos_sufficient(params: Params, n: int, c: Number) -> Optional[str]:
     """First matching sufficient condition for positive scalar curvature, or None."""
     if n < 2:
@@ -216,29 +250,10 @@ def scalar_pos_sufficient(params: Params, n: int, c: Number) -> Optional[str]:
         return "gamma" if n >= 3 else "gamma_prime"
 
     cf = float(cx)
-    m = multipliers(params, n)
-    if n == 2:
-        if q > 0 and p == 1 and abs(cf - 2) < 2:
-            return "a"
-        if q == 0 and 1 <= p < 2 and abs(cf - 2 * float(mu(p))) < 2 * float(mu(p)):
-            return "b"
-        if q == 0 and p >= 2 and abs(cf - 2 * float(mu(p))) < 2 * m.m2 * float(mu(p)):
-            return "c"
-        if q < 0 and p > 1 and q >= hyperbola_nu(p) and m.m4 is not None:
-            if abs(cf - 2 * float(mu(p))) < 2 * m.m4 * float(mu(p)):
-                return "d"
-        if q < 0 and p + q >= 1 and q <= hyperbola_nu(p) and m.m5 is not None:
-            if abs(cf - 2 * float(mu(p))) < 2 * m.m5 * float(mu(p)):
-                return "e"
-        return None
-    if q > 0 and p == 1 and abs(cf - n) < m.m1 * n:
-        return "a"
-    if q == 0 and 1 <= p < 2 and abs(cf - n * float(mu(p))) < m.m1 * n * float(mu(p)):
-        return "b"
-    if q == 0 and p == 2 and abs(cf - 4 * n) < 4 * m.m2 * n:
-        return "c"
-    if q < 0 and p + q == 1 and abs(cf - n * float(mu(p))) < m.m3 * n * float(mu(p)):
-        return "d"
+    for case, region, window in sufficient_cases(p, q, n):
+        bounds = window() if region else None
+        if bounds is not None and abs(cf - bounds[0]) < bounds[1]:
+            return case
     return None
 
 
@@ -259,9 +274,9 @@ def scan_column(predicate: str, p: Fraction, q: np.ndarray, n: int, c: Optional[
             raise TypeError("scalar_sufficient needs the base curvature c, got None")
         if as_fraction(c) == 0:
             return _vertical_positive(p, col, n), col.tie
-        # each case needs p = 1 < q, q = 0, p + q = 1 > p or (n = 2) q < 0 < p - 1: all are ties
-        below_cases = (q == float(1 - p)) | (n == 2 and p > 1)
-        return outside, ((q > 0) & (p == 1)) | (q == 0) | ((q < 0) & below_cases)
+        # every case region goes to the per-cell window test; col.tie is read once all have marked it
+        regions = [region for _, region, _ in sufficient_cases(p, col, n)]
+        return outside, functools.reduce(operator.or_, regions) | col.tie
     if predicate not in ("delta", "delta_prime"):
         raise ValueError(predicate)
     if c is None or as_fraction(c) < 0:  # without c every cell is a tie (NaN), below 0 none is inside
@@ -322,17 +337,21 @@ def scalar_grid_min(params: Params, n: int, c: Number) -> float:
 
 
 def _phi_limit(params: Params, n: int) -> float:
-    """Limit of phi(t) as t -> infinity (q >= 0), by the leading term of C."""
-    p, q = float(params.p), float(params.q)
-    cpoly = poly_C(params, n)
+    """Limit of phi(t) as t -> infinity (q >= 0), by the leading term of C over q^2, taken
+    exactly: in floats (n - 2) q^2 and q * q underflow to 0 for q below about 1e-162."""
+    p, q = as_exact(params.p), as_exact(params.q)
+    cpoly = poly_C(Params(p, q), n)
     d = cpoly.degree()
-    lead = float(cpoly.coefficients[d])
-    expo = d + (p - 2) - (2 if q > 0 else 0)
-    if lead == 0.0 or expo < 0:
+    lead = Fraction(cpoly.coefficients[d]) / (q * q if q > 0 else 1)
+    expo = d + p - 2 - (2 if q > 0 else 0)
+    if lead == 0 or expo < 0:
         return 0.0
-    if expo > 0:
-        return math.copysign(math.inf, lead)
-    return lead / (q * q) if q > 0 else lead
+    if expo == 0:
+        try:
+            return float(lead)
+        except OverflowError:  # past the float range: the limit reads as an infinity
+            pass
+    return math.inf if lead > 0 else -math.inf
 
 
 def scalar_positivity_interval(params: Params, n: int) -> tuple[float, float]:
@@ -584,8 +603,31 @@ def _larger_root(quad: tuple) -> float:
     return (-c1 + math.sqrt(disc)) / (2 * c2)
 
 
-def _all_positive(spec) -> bool:
-    return all(coef > 0 for coef in spec.coefficients)
+def _thm3_candidates(n: int, cf: float):
+    """The (p, q) that find_params_thm3 tries, in order, each with its path text ({} = rejections)."""
+    if cf == 0:
+        yield 1, 1, "c=0: Cheeger-Gromoll point"
+    elif n == 2:
+        for p in range(2, 402):
+            yield p, 0, f"q=0, integer p ascent: accepted p={p} ({{}} rejections)"
+    else:
+        if cf > 0:
+            p0 = 2
+            while float(mu(p0)) <= cf / (2 * n):
+                p0 += 1
+        else:
+            p0 = max(2, math.ceil(1 - 9 * cf / 8), math.ceil(1 + math.log(-3 * cf) / math.log(2)))
+        for p in range(p0, p0 + 60):
+            aq, bq = _coeff_polys_in_q(p, n)
+            q = max(
+                1,
+                math.ceil(-cf - 2 * p) + 1,
+                math.ceil(_larger_root(aq)) + 1,
+                math.ceil(_larger_root(bq)) + 1,
+            )
+            for _ in range(40):
+                yield p, q, f"started p={p0}, accepted (p,q)=({p},{q}) after {{}} rejections"
+                q *= 2
 
 
 def find_params_thm3(n: int, c: Number) -> SearchResult:
@@ -599,48 +641,10 @@ def find_params_thm3(n: int, c: Number) -> SearchResult:
     if n < 2:
         raise ValueError("n >= 2 required")
     cx = as_fraction(c)
-    cf = float(cx)
-    path = []
-    if cf == 0:
-        params = Params(1, 1)
-        g = poly_G(params, n, 0)
-        if not _all_positive(g):
-            raise AssertionError("G positivity failed at the c=0 seed")
-        return _certified(params, n, cx, {"G_coefficients": g.as_floats(), "path": "c=0: Cheeger-Gromoll point"})
-
-    if n == 2:
-        p = 2
-        for _ in range(400):
-            g = poly_G(Params(p, 0), n, cx)
-            if _all_positive(g):
-                path_text = f"q=0, integer p ascent: accepted p={p} ({len(path)} rejections)"
-                return _certified(Params(p, 0), n, cx, {"G_coefficients": g.as_floats(), "path": path_text})
-            path.append(p)
-            p += 1
-        raise RuntimeError("surface search failed to terminate")
-
-    if cf > 0:
-        p0 = 2
-        while float(mu(p0)) <= cf / (2 * n):
-            p0 += 1
-    else:
-        p0 = max(2, math.ceil(1 - 9 * cf / 8), math.ceil(1 + math.log(-3 * cf) / math.log(2)))
-    for p in range(p0, p0 + 60):
-        aq, bq = _coeff_polys_in_q(p, n)
-        q0 = max(
-            1,
-            math.ceil(-cf - 2 * p) + 1,
-            math.ceil(_larger_root(aq)) + 1,
-            math.ceil(_larger_root(bq)) + 1,
-        )
-        q = q0
-        for _ in range(40):
-            g = poly_G(Params(p, q), n, cx)
-            if _all_positive(g):
-                path_text = f"started p={p0}, accepted (p,q)=({p},{q}) after {len(path)} rejections"
-                return _certified(Params(p, q), n, cx, {"G_coefficients": g.as_floats(), "path": path_text})
-            path.append((p, q))
-            q *= 2
+    for rejections, (p, q, path) in enumerate(_thm3_candidates(n, float(cx))):
+        g = poly_G(Params(p, q), n, cx)
+        if all(coef > 0 for coef in g.coefficients):
+            return _certified(Params(p, q), n, cx, {"G_coefficients": g.as_floats(), "path": path.format(rejections)})
     raise RuntimeError("coefficient-positivity search failed to terminate")
 
 

@@ -167,14 +167,9 @@ def extended_AB(params: Params, t: Number) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class PolySpec:
-    """Polynomial given by ascending coefficients, tagged by family kind."""
+    """Polynomial given by ascending coefficients."""
 
     coefficients: tuple
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("P", "Q", "C", "G"):
-            raise ValueError(f"unknown polynomial kind {self.kind!r}")
 
     def evaluate(self, t):
         acc = 0.0
@@ -221,13 +216,13 @@ def _binomial_row(k: int) -> list:
 def poly_P(params: Params) -> PolySpec:
     """Sign polynomial of vertical planes containing the canonical vector."""
     p, q = params.p, params.q
-    return PolySpec((2 * p + q, (p + 2) * q, (1 - p) * q), "P")
+    return PolySpec((2 * p + q, (p + 2) * q, (1 - p) * q))
 
 
 def poly_Q(params: Params) -> PolySpec:
     """Sign polynomial of vertical planes orthogonal to the fibre point."""
     p, q = params.p, params.q
-    return PolySpec((2 * p + q, 2 * p + 2 * q - p * p, q), "Q")
+    return PolySpec((2 * p + q, 2 * p + 2 * q - p * p, q))
 
 
 def poly_C(params: Params, n: int) -> PolySpec:
@@ -238,7 +233,7 @@ def poly_C(params: Params, n: int) -> PolySpec:
     two_p = [2 * c for c in poly_P(params).coefficients]
     rest = _poly_mul([1, q], poly_Q(params).coefficients)
     out = _poly_add(two_p + [0 * q], [(n - 2) * c for c in rest])
-    return PolySpec(tuple(out), "C")
+    return PolySpec(tuple(out))
 
 
 def poly_G(params: Params, n: int, c: Number) -> PolySpec:
@@ -260,7 +255,7 @@ def poly_G(params: Params, n: int, c: Number) -> PolySpec:
     out = _poly_add(_poly_add(term1, term2), term3)
     while len(out) > 1 and out[-1] == 0:
         out.pop()
-    return PolySpec(tuple(out), "G")
+    return PolySpec(tuple(out))
 
 
 # ---------------------------------------------------------------------------

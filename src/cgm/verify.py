@@ -30,7 +30,6 @@ from .scalars import (
     hyperbola_lambda,
     hyperbola_nu,
     mu,
-    multipliers,
     omega_q,
     phi,
     poly_C,
@@ -489,43 +488,33 @@ def sufficient_condition_samples(seed: int = 0) -> list:
     rng = np.random.default_rng(seed + 17)
     samples = []
 
-    def centered(center, radius):
-        # strictly inside the open bound, and away from c = 0
+    def centered(params, n):
+        # c in the window of the first case whose region holds: strictly inside the open bound, away from 0
+        p, q = as_fraction(params.p), as_fraction(params.q)
+        center, radius = next(window() for _, region, window in rg.sufficient_cases(p, q, n) if region)
         for _ in range(50):
             c = center + radius * rng.uniform(-0.95, 0.95)
             if abs(c) > 1e-3:
-                return c
-        return center + 0.5 * radius
+                return params, n, c
+        return params, n, center + 0.5 * radius
 
     for _ in range(112):  # per family
         # dimension 2 cases (a)-(e)
         samples.append((Params(1.0, rng.uniform(0.01, 5)), 2, rng.uniform(0.05, 3.95)))
         p = rng.uniform(1, 1.99)
         samples.append((Params(p, 0.0), 2, rng.uniform(0.05, 4 * float(mu(p)) - 0.05)))
-        p = rng.uniform(2, 6)
-        m = multipliers(Params(p, 0.0), 2)
-        samples.append((Params(p, 0.0), 2, centered(2 * float(mu(p)), 2 * m.m2 * float(mu(p)))))
+        samples.append(centered(Params(rng.uniform(2, 6), 0.0), 2))
         p = rng.uniform(1.05, 4)
-        q = float(hyperbola_nu(p)) * rng.uniform(0.02, 0.98)
-        m = multipliers(Params(p, q), 2)
-        samples.append((Params(p, q), 2, centered(2 * float(mu(p)), 2 * m.m4 * float(mu(p)))))
+        samples.append(centered(Params(p, float(hyperbola_nu(p)) * rng.uniform(0.02, 0.98)), 2))
         p = rng.uniform(1.05, 4)
         nu = float(hyperbola_nu(p))
-        q = 1 - p + (nu - (1 - p)) * rng.uniform(0.02, 0.98)
-        m = multipliers(Params(p, q), 2)
-        samples.append((Params(p, q), 2, centered(2 * float(mu(p)), 2 * m.m5 * float(mu(p)))))
+        samples.append(centered(Params(p, 1 - p + (nu - (1 - p)) * rng.uniform(0.02, 0.98)), 2))
         # dimension >= 3 cases (a)-(d)
-        n = 3
-        m = multipliers(Params(1.0, 1.0), n)
-        samples.append((Params(1.0, rng.uniform(0.01, 5)), n, centered(n, m.m1 * n)))
-        p = rng.uniform(1, 1.99)
-        m = multipliers(Params(p, 0.0), n)
-        samples.append((Params(p, 0.0), n, centered(n * float(mu(p)), m.m1 * n * float(mu(p)))))
-        m = multipliers(Params(2.0, 0.0), n)
-        samples.append((Params(2.0, 0.0), n, centered(4 * n, 4 * m.m2 * n)))
+        samples.append(centered(Params(1.0, rng.uniform(0.01, 5)), 3))
+        samples.append(centered(Params(rng.uniform(1, 1.99), 0.0), 3))
+        samples.append(centered(Params(2.0, 0.0), 3))
         p = rng.uniform(1.05, 4)
-        m = multipliers(Params(p, 1 - p), n)
-        samples.append((Params(p, 1 - p), n, centered(n * float(mu(p)), m.m3 * n * float(mu(p)))))
+        samples.append(centered(Params(p, 1 - p), 3))
     return samples[:1000]
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from cgm.cli import (
     ScanSpec,
+    _scan,
     main,
     parse_number,
     parse_range,
@@ -216,6 +217,8 @@ class TestScanKernel:
         "thirds": ((-3, 3, Fraction(1, 3)), (-2, 3, Fraction(1, 3))),
         "twentieths": ((1, Fraction(5, 2), Fraction(1, 20)), (Fraction(-3, 10), 0, Fraction(1, 20))),
         "dyadic": ((-8, 3, Fraction(1, 2)), (-2, 10, 1)),
+        # q = float(nu(3/2)) = float(-2/7) != nu(3/2) at n = 2 cases (d) and (e); p + q = 1 at q < 0
+        "nu_fourteenths": ((1, 2, Fraction(1, 2)), (-1, 0, Fraction(1, 14))),
     }
 
     @pytest.mark.parametrize("grid", list(GRIDS))
@@ -234,6 +237,13 @@ class TestScanKernel:
             got, want = run_scan(spec), per_cell_scan(spec)
             bad = [(g, w) for g, w in zip(got, want) if repr(g) != repr(w)]
             assert len(got) == len(want) and not bad, (spec, bad[:3])
+
+    def test_scalar_sufficient_per_cell_counts_on_atlas_grid(self):
+        # the cells the kernel leaves to the per-cell rule: the case regions and the ties (a mask
+        # derived by hand from the cases sent 321 at n = 3, c = 4 and 2701 at n = 2, c = 3)
+        for (n, c), want in {(3, 4): 101, (2, 3): 911}.items():
+            spec = ScanSpec((-9, 3, Fraction(1, 20)), (-3, 3, Fraction(1, 20)), n, c, "scalar_sufficient")
+            assert _scan(spec)[1] == want
 
     def test_delta_without_c_is_nan(self):
         spec = ScanSpec((0, 2, 1), (-1, 1, 1), 3, None, "delta_prime")

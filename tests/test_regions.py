@@ -351,6 +351,13 @@ class TestInterval:
     def test_ends_pinned(self, p, q, n):
         assert tuple(v.hex() for v in scalar_positivity_interval(Params(p, q), n)) == self.ENDS[p, q, n]
 
+    @pytest.mark.parametrize("q", [1e-170, 1e-200, 5e-324])
+    def test_underflowing_q_keeps_the_leading_term_of_C(self, q):
+        # q * q and the coefficient (n - 2) q^2 of C underflow in floats; phi's limit still reads C / q^2
+        for p, n in ((1, 2), (1, 3), (2, 3)):
+            assert scalar_positivity_interval(Params(p, q), n) == scalar_positivity_interval(Params(p, 1e-160), n)
+        assert all(math.isnan(v) for v in scalar_positivity_interval(Params(2, q), 2))  # phi -> -2/q
+
 
 class TestRadiusGrid:
     # sha256 of the grid bytes as built afresh on every call: the shared and read-only arrays keep every bit
