@@ -1,22 +1,17 @@
 """Curvature toolkit for the metric family h_{p,q} on tangent bundles."""
 
 from .scalars import (
-    AnalysisScalars,
     CoefficientSet,
     DomainError,
     EPS_DOM,
-    FSup,
-    Multipliers,
     Params,
     PolySpec,
-    analysis_scalars,
     coefficients,
     f_sup,
     f_value,
     hyperbola_lambda,
     hyperbola_nu,
     mu,
-    multipliers,
     omega,
     omega_q,
     phi,

@@ -97,10 +97,6 @@ class LiftVector:
         Y = np.asarray(Y, dtype=float)
         return cls(np.zeros_like(Y), Y)
 
-    @classmethod
-    def canonical_vertical(cls, e: FiberPoint) -> "LiftVector":
-        return cls.vertical(e.e)
-
     def __add__(self, other: "LiftVector") -> "LiftVector":
         return LiftVector(self.h + other.h, self.v + other.v)
 
@@ -118,10 +114,10 @@ class BaseCurvature:
     (nabla_W R)(X,Y)Z and ``delta_op(X, e)`` the coderivative vector whose
     pairing with Y gives the horizontal-vertical Ricci; both vanish for space
     forms and default to None for custom bases.  The space-form operators
-    broadcast over leading batch axes, and c may hold one value per row.
+    broadcast over leading batch axes, and c may hold one value per row; c is
+    None for a custom base.
     """
 
-    kind: str
     c: Optional[float]
     r_op: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     nabla_op: Optional[Callable] = None
@@ -136,11 +132,11 @@ class BaseCurvature:
 
         zero4 = lambda W, X, Y, Z: np.zeros_like(X)
         zero2 = lambda X, e: np.zeros_like(X)
-        return cls("space_form", c, r_op, zero4, zero2)
+        return cls(c, r_op, zero4, zero2)
 
     @classmethod
     def custom(cls, r_op, nabla_op=None, delta_op=None) -> "BaseCurvature":
-        return cls("custom", None, r_op, nabla_op, delta_op)
+        return cls(None, r_op, nabla_op, delta_op)
 
     def R(self, X, Y, Z) -> np.ndarray:
         return self.r_op(X, Y, Z)
@@ -151,7 +147,7 @@ class BaseCurvature:
         return self.nabla_op(W, X, Y, Z)
 
     def scalar(self, n: int) -> float:
-        if self.kind == "space_form":
+        if self.c is not None:
             return n * (n - 1) * self.c
         basis = np.eye(n)
         return float(

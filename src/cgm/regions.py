@@ -7,9 +7,9 @@ comparisons are performed in exact rational arithmetic whenever the inputs are
 rational (floats are compared exactly as the rationals they represent, never
 with an epsilon), and the boundary curves lambda, nu are evaluated exactly.
 Two decisions are floats: the cut mu(p) >= 3c/4 for non-integer p, and the
-window test |c - k s| < k m s of :func:`sufficient_cases`, the one rule set of
-the sufficient conditions for positive scalar curvature, with the square-root
-multipliers m1..m5.  :func:`scan_column` runs the same rules on a column of
+window test |c - k s| < k sqrt(1 + r) s of :func:`sufficient_cases`, the one
+rule set of the sufficient conditions for positive scalar curvature, where each
+case has its own r.  :func:`scan_column` runs the same rules on a column of
 exact p and float q.  There every comparison compares q with an exact
 threshold tau(p), and the correctly rounded float(tau) settles it unless
 q == float(tau): a tie, left to the per-cell rule, as are the sufficient
@@ -42,14 +42,12 @@ import numpy as np
 
 from .scalars import (
     Params,
-    analysis_scalars,
     as_exact,
     as_fraction,
     f_sup,
     hyperbola_lambda,
     hyperbola_nu,
     mu,
-    multipliers,
     omega,
     poly_C,
     poly_G,
@@ -201,7 +199,7 @@ def vertical_positivity(params: Params, n: int) -> bool:
 
 
 def nonneg_sectional(params: Params, n: int, c: Number) -> bool:
-    """Whether h_{p,q} over a curvature-c space form has K >= 0 everywhere."""
+    """Whether h_{p,q} over a curvature-c space form has K >= 0 on every plane spanned by lifts."""
     if n < 2:
         raise ValueError("n >= 2 required")
     if as_fraction(c) < 0:
@@ -211,31 +209,42 @@ def nonneg_sectional(params: Params, n: int, c: Number) -> bool:
 
 def sufficient_cases(p, q, n: int):
     """The sufficient conditions for positive scalar curvature at c != 0, in order and lazily:
-    (case, region, window).  ``window()`` is (k s, k m s), the center and radius of the open
-    window |c - k s| < k m s of c, with s = mu(p) or 1 and m a multiplier of
-    :func:`multipliers` or 1; it is None outside the multiplier's domain.  p is exact, q exact
+    (case, region, window).  ``window()`` is (k s, k sqrt(1 + r) s), the center and radius of the
+    open window |c - k s| < k sqrt(1 + r) s of c, with s = mu(p) or 1 and r the case's own float
+    expression in p, q and mu(p), >= 0 on its region up to rounding.  The region, decided exactly, is
+    the only domain test; where r is undefined in floats (case (d) at float(p) == 1 < p) the window is
+    empty.  p is exact, q exact
     or a _Column (whose cases give regions only): cases (a)-(e) for n = 2, (a)-(d) for n >= 3."""
 
-    def window(k, m=None, scaled=True):
+    def window(k, r, scaled=True):  # r takes float p, q and mu(p)
         def bounds():
-            mult = 1 if m is None else getattr(multipliers(Params(p, q), n), m)
-            s = float(mu(p)) if scaled else 1
-            return None if mult is None else (k * s, k * mult * s)
+            mp = float(mu(p))
+            try:
+                m = math.sqrt(1 + r(float(p), float(q), mp))
+            except ZeroDivisionError:
+                m = 0.0
+            s = mp if scaled else 1
+            return k * s, k * m * s
         return bounds
 
+    def r1(p, q, mp):
+        return 2 * (n - 2) / (n * n * p)
+
+    def r2(p, q, mp):
+        return 4 * p / (n * mp)
+
+    yield "a", p == 1 and q > 0, window(n, r1, scaled=False)
+    yield "b", 1 <= p < 2 and q == 0, window(n, r1)
     if n == 2:
-        yield "a", p == 1 and q > 0, window(2, scaled=False)
-        yield "b", 1 <= p < 2 and q == 0, window(2)
-        yield "c", p >= 2 and q == 0, window(2, "m2")
+        yield "c", p >= 2 and q == 0, window(2, r2)
         if p > 1:  # cases (d) and (e) lie in q < 0 < p - 1, where nu(p) < 0
             nu = hyperbola_nu(p)
-            yield "d", (q < 0) & (q >= nu), window(2, "m4")
-            yield "e", (q >= 1 - p) & (q <= nu), window(2, "m5")
+            yield "d", (q < 0) & (q >= nu), window(
+                2, lambda p, q, mp: p * q * (p * q + 8 * p + 8 * q - 8) / (4 * (p - 1) * (q - 1) * mp))
+            yield "e", (q >= 1 - p) & (q <= nu), window(2, lambda p, q, mp: (p + q - 1) / mp)
     else:
-        yield "a", p == 1 and q > 0, window(n, "m1", scaled=False)
-        yield "b", 1 <= p < 2 and q == 0, window(n, "m1")
-        yield "c", p == 2 and q == 0, window(4 * n, "m2", scaled=False)
-        yield "d", p > 1 and q == 1 - p, window(n, "m3")
+        yield "c", p == 2 and q == 0, window(4 * n, r2, scaled=False)
+        yield "d", p > 1 and q == 1 - p, window(n, lambda p, q, mp: 2 * (p * p - 1) / (n * p * mp))
 
 
 def scalar_pos_sufficient(params: Params, n: int, c: Number) -> Optional[str]:
@@ -251,9 +260,10 @@ def scalar_pos_sufficient(params: Params, n: int, c: Number) -> Optional[str]:
 
     cf = float(cx)
     for case, region, window in sufficient_cases(p, q, n):
-        bounds = window() if region else None
-        if bounds is not None and abs(cf - bounds[0]) < bounds[1]:
-            return case
+        if region:
+            center, radius = window()
+            if abs(cf - center) < radius:
+                return case
     return None
 
 
@@ -498,8 +508,10 @@ def sectional_witness_min(params: Params, n: int, c: Number) -> float:
     if q < 0:
         tb = -1.0 / q
         t_vals += list(tb * (1.0 - np.geomspace(2e-9, 1e-1, 16)))
-    an = analysis_scalars(params)
-    for crit in (1.0 / (p - 1.0) if p > 1 else None, an.t0, an.s0):
+    # the critical points of f and the vertices t0, s0 of P and Q
+    t0 = (p + 2) / (2 * (p - 1)) if p != 1 else None
+    s0 = -(2 * p + 2 * q - p * p) / (2 * q) if q != 0 else None
+    for crit in (1.0 / (p - 1.0) if p > 1 else None, t0, s0):
         if crit is not None and 0 < crit < t_hi:
             t_vals.append(crit)
     # scale-free sign probes: one point in every sign region of P and Q; the
@@ -512,7 +524,7 @@ def sectional_witness_min(params: Params, n: int, c: Number) -> float:
     mins = [fam.hh.min(), fam.hv.min(), fam.vv_through.min()]
     # the infimum of the horizontal family over an unbounded radius range is analytic
     if q >= 0 and cf != 0:
-        mins.append(cf - 0.75 * cf * cf * f_sup(params).sup)
+        mins.append(cf - 0.75 * cf * cf * f_sup(params))
     low = min(mins)  # min is a left fold, so min(low, x) is min(mins + [x])
     return float(low) if n < 3 else float(min(low, fam.vv_perp.min()))
 

@@ -4,7 +4,9 @@ Everything in this module is a plain function of the parameters (p, q), the
 squared fibre radius t = |e|^2, the base dimension n and (where relevant) the
 base curvature c: weight functions, the curvature coefficients A, B, C and the
 Ricci coefficients alpha, beta, the sign-controlling polynomials P, Q, C, G,
-and the auxiliary functions mu, lambda, nu and the case multipliers m1..m5.
+and the auxiliary functions mu, lambda, nu.  The windows k sqrt(1 + r) s of
+the sufficient conditions for positive scalar curvature, with r per case, are
+written in :func:`cgm.regions.sufficient_cases`.
 
 The weights, the coefficients, phi and the scalar curvature also accept a
 numpy array of radii and evaluate elementwise, in the same order of
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -39,10 +41,6 @@ EPS_DOM = 1e-9
 
 class DomainError(ValueError):
     """Raised when an evaluation point leaves the Riemannian ball bundle."""
-
-
-def _exactable(*xs: Number) -> bool:
-    return all(isinstance(x, (int, Fraction)) for x in xs)
 
 
 def as_fraction(x: Number) -> Fraction:
@@ -148,19 +146,6 @@ def coefficients(params: Params, t: Radius, n: int) -> CoefficientSet:
     return CoefficientSet(A, B, C, alpha, beta)
 
 
-def extended_AB(params: Params, t: Number) -> tuple[float, float]:
-    """Smooth extensions of A and B across the sphere-bundle boundary.
-
-    Only the line p + q = 1 (q < 0) admits such extensions: A extends to
-    (q-1)*omega^2 and B to (1-q)*omega^2 + omega, so B -> -q on the boundary.
-    """
-    if params.p + params.q != 1:
-        raise DomainError("smooth boundary extensions exist only for p + q = 1")
-    q = float(params.q)
-    w = omega(t)
-    return (q - 1) * w * w, (1 - q) * w * w + w
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -175,12 +160,6 @@ class PolySpec:
         acc = 0.0
         for ck in reversed(self.coefficients):
             acc = acc * t + float(ck)
-        return acc
-
-    def evaluate_exact(self, t: Number):
-        acc: Number = 0
-        for ck in reversed(self.coefficients):
-            acc = acc * t + ck
         return acc
 
     def as_floats(self) -> tuple:
@@ -276,69 +255,22 @@ def mu(p: Number) -> Number:
         return fp * math.exp((fp - 1) * math.log1p(1 / (fp - 1)))
 
 
-def hyperbola_lambda(p: Number) -> Number:
-    """q-value of the hyperbola p q + 8 p + 8 q = 8 at abscissa p (p != -8)."""
+def hyperbola_lambda(p: Number) -> Fraction:
+    """q-value of the hyperbola p q + 8 p + 8 q = 8 at abscissa p = a/b (p != -8): 8 (b - a) / (8 b + a)."""
     if p == -8:
         raise DomainError("lambda has a pole at p = -8")
-    if _exactable(p):
-        return as_fraction(8 * (1 - p)) / as_fraction(8 + p)
-    return 8.0 * (1.0 - p) / (8.0 + p)
+    a, b = p.as_integer_ratio()
+    return Fraction(8 * (b - a), 8 * b + a)
 
 
 def hyperbola_nu(p: Number) -> Number:
-    """q-value of the hyperbola p q + 2 p + 2 q = 2 at abscissa p (p != -2)."""
+    """q-value of the hyperbola p q + 2 p + 2 q = 2 at abscissa p (p != -2); exact for int or Fraction p."""
     if p == -2:
         raise DomainError("nu has a pole at p = -2")
-    if _exactable(p):
-        return as_fraction(2 * (1 - p)) / as_fraction(2 + p)
-    return 2.0 * (1.0 - p) / (2.0 + p)
-
-
-@dataclass(frozen=True)
-class AnalysisScalars:
-    """Discriminants and critical points of P and Q, plus the kappa cuts."""
-
-    D: float
-    E: float
-    t0: Optional[float]
-    s0: Optional[float]
-    kappa1: float
-    kappa2: float
-
-
-def analysis_scalars(params: Params) -> AnalysisScalars:
-    p, q = float(params.p), float(params.q)
-    D = p * q * (p * q + 8 * p + 8 * q - 8)
-    E = p * p * (p * p - 4 * p - 4 * q + 4)
-    t0 = (p + 2) / (2 * (p - 1)) if p != 1 else None
-    s0 = -(2 * p + 2 * q - p * p) / (2 * q) if q != 0 else None
-    return AnalysisScalars(D, E, t0, s0, (p - 2) ** 2 / 4, p * (p - 2) / 2)
-
-
-class Multipliers(NamedTuple):
-    m1: Optional[float]
-    m2: Optional[float]
-    m3: Optional[float]
-    m4: Optional[float]
-    m5: Optional[float]
-
-
-def multipliers(params: Params, n: int) -> Multipliers:
-    """Case multipliers m1..m5 (>= 1); None outside their stated domains."""
-    p, q = float(params.p), float(params.q)
-    m1 = m2 = m3 = m4 = m5 = None
-    if p > 0:
-        m1 = math.sqrt(1 + 2 * (n - 2) / (n * n * p))
-    if p >= 1:
-        mp = float(mu(p))
-        m2 = math.sqrt(1 + 4 * p / (n * mp))
-        m3 = math.sqrt(1 + 2 * (p * p - 1) / (n * p * mp))
-    if p > 1:
-        if hyperbola_lambda(p) < q < 0:
-            m4 = math.sqrt(1 + analysis_scalars(params).D / (4 * (p - 1) * (q - 1) * mp))
-        if p + q >= 1:
-            m5 = math.sqrt(1 + (p + q - 1) / mp)
-    return Multipliers(m1, m2, m3, m4, m5)
+    if not isinstance(p, (int, Fraction)):
+        return 2.0 * (1.0 - p) / (2.0 + p)
+    a, b = p.as_integer_ratio()
+    return Fraction(2 * (b - a), 2 * b + a)
 
 
 # ---------------------------------------------------------------------------
@@ -350,35 +282,25 @@ def f_value(t, p):
     return t / (1.0 + t) ** p
 
 
-class FSup(NamedTuple):
-    sup: float
-    attained: bool
-    argmax: Optional[float]
-
-
-def f_sup(params: Params) -> FSup:
+def f_sup(params: Params) -> float:
     """Supremum of f(t) = t/(1+t)^p over the admissible fibre radii.
 
     For p <= 1 the function increases, so the supremum is its limit at the
-    end of the fibre and is not attained: f(-1/q) for q < 0, and for q >= 0
-    1 (p = 1) or inf (p < 1).  For p > 1 the supremum is 1/mu(p); it is
-    attained at t = 1/(p-1) except when that point sits on or past the open
-    boundary -1/q (p + q <= 1, q < 0), in which case the supremum is the
-    one-sided limit value.
+    end of the fibre: f(-1/q) for q < 0, and for q >= 0 1 (p = 1) or inf
+    (p < 1).  For p > 1 the supremum is 1/mu(p), the value at t = 1/(p-1),
+    unless that point lies past the open boundary -1/q (p + q < 1, q < 0),
+    where the supremum is the limit at the boundary.
     """
     p, q = float(params.p), float(params.q)
     if p <= 1:
         if q >= 0 or -1.0 / q == math.inf:  # an unbounded fibre, or a denormal q whose -1/q overflows
-            return FSup(1.0 if p == 1 else math.inf, False, None)
+            return 1.0 if p == 1 else math.inf
         with np.errstate(over="ignore", divide="ignore"):  # f(-1/q) may exceed the float range for p < 0
-            return FSup(float(f_value(np.float64(-1.0 / q), p)), False, None)
-    t_star = 1.0 / (p - 1.0)
-    if q >= 0 or p + q > 1:
-        return FSup(1.0 / float(mu(p)), True, t_star)
-    if p + q == 1:
-        return FSup(1.0 / float(mu(p)), False, None)
+            return float(f_value(np.float64(-1.0 / q), p))
+    if q >= 0 or p + q >= 1:
+        return 1.0 / float(mu(p))
     # endpoint limit; clamp the radius so f stays evaluable for denormal q
-    return FSup(f_value(min(-1.0 / q, 1e15), p), False, None)
+    return f_value(min(-1.0 / q, 1e15), p)
 
 
 def phi(params: Params, n: int, t: Radius) -> Radius:

@@ -145,12 +145,12 @@ def suite_identities(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]
         p = rng.uniform(1, 6)
         q = rng.uniform(-2, 3)
         params = Params(p, q)
-        res = f_sup(params)
+        sup = f_sup(params)
         cap = 1e3 if q >= 0 else -1 / q * (1 - 1e-9)
         grid_t = np.concatenate([[0.0], np.geomspace(1e-9, cap, 9_999)])
         gmax = float(f_value(grid_t, p).max())
-        ok_upper &= gmax <= res.sup + 1e-12
-        worst_low = max(worst_low, res.sup - gmax)
+        ok_upper &= gmax <= sup + 1e-12
+        worst_low = max(worst_low, sup - gmax)
     out.append(_check("f_sup_grid_lower", worst_low, 1e-3 * tol_scale))
     out.append(_check_bool("f_sup_grid_upper", ok_upper))
 

@@ -81,6 +81,12 @@ class TestClassifyCommand:
         assert code == 0
         assert last_json(out)["in_delta"] is True
 
+    def test_case_e_on_the_exact_line(self, capsys):
+        # p + q = 1 exactly, although float(7/5) + float(-2/5) rounds below 1
+        code, out, _ = run_cli(capsys, "classify", "--p", "7/5", "--q=-2/5", "--n", "2", "--c", "1")
+        assert code == 0
+        assert "scalar_condition = e\n" in out
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["classify", "--p", "1", "--n", "3"])  # missing --q

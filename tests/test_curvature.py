@@ -67,7 +67,7 @@ class TestMetric:
         vals = []
         for eps in (1e-2, 1e-4, 1e-6):
             e = FiberPoint.radial(1 - eps, 3)
-            U = LiftVector.canonical_vertical(e)
+            U = LiftVector.vertical(e.e)  # the canonical vertical vector
             vals.append(metric_h(params, e, U, U))
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 1e-5
@@ -182,6 +182,10 @@ class TestRicci:
 class TestScalar:
     def test_zero_section(self):
         got = scalar(Params(1, 1), 3, FiberPoint.zero(3), BaseCurvature.space_form(1.0))
+        assert_allclose(got, 6 + 18, rtol=1e-14)
+        # a custom base (c is None) with the same operator: its scalar curvature is the frame sum
+        custom = BaseCurvature.custom(BaseCurvature.space_form(1.0).r_op)
+        got = scalar(Params(1, 1), 3, FiberPoint.zero(3), custom)
         assert_allclose(got, 6 + 18, rtol=1e-14)
 
     def test_flat_base_equals_phi(self):

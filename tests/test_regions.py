@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from cgm.curvature import BaseCurvature, FiberPoint, LiftVector, sectional_plane
-from cgm.scalars import Params, hyperbola_lambda, mu, poly_G
+from cgm.scalars import Params, hyperbola_lambda, hyperbola_nu, mu, poly_G
 from cgm.verify import DELTA_C, _exact_nonneg, _exact_vertical, _sign_holds, delta_grid_verdicts
 from cgm.regions import (
     _coeff_polys_in_q,
@@ -24,6 +24,7 @@ from cgm.regions import (
     scalar_pos_sufficient,
     scalar_positivity_interval,
     sectional_witness_min,
+    sufficient_cases,
     vertical_curvature_minimum,
     vertical_positivity,
 )
@@ -238,6 +239,64 @@ class TestScalarSufficient:
                 continue
             assert scalar_grid_min(Params(p, q), n, c) > 0, (p, q, n, c)
             checked += 1
+
+    @staticmethod
+    def _window_pin_points() -> list:
+        """Float (p, q) on q = 0, q = 1 - p, q = nu(p), inside cases (d) and (e), and at p = 1, 2."""
+        rng = np.random.default_rng(16)
+        pts = [(1.0, 0.5), (1.0, 2.0), (1.0, 0.0), (2.0, 0.0), (2.0, -1.0), (2.0, -0.5), (2.0, -0.25)]
+        pts += [(float(p), 0.0) for p in rng.uniform(1, 2, 8)]
+        for _ in range(16):
+            p = float(rng.uniform(1.05, 6))
+            nu = float(hyperbola_nu(p))
+            pts += [(p, 0.0), (p, 1 - p), (p, nu), (p, nu * rng.uniform(0.02, 0.98)),
+                    (p, 1 - p + (nu - (1 - p)) * rng.uniform(0.02, 0.98))]
+        return pts
+
+    def test_windows_pinned(self):
+        # sha256 of float.hex of (center, radius) of every case whose region holds, n = 2, 3, 5;
+        # recorded before each case had its own r, when all cases shared one function of five square roots
+        lines = []
+        for p, q in self._window_pin_points():
+            for n in (2, 3, 5):
+                for case, region, window in sufficient_cases(Fraction(p), Fraction(q), n):
+                    if region:
+                        center, radius = window()
+                        lines.append(f"{p!r},{q!r},{n},{case},{float(center).hex()},{float(radius).hex()}\n")
+        assert len(lines) == 160
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == "8a7218231a45c826c9ba25c6806e5386cf841392df5bbcbcd22b143fcf9eb673"
+
+    def test_d_and_e_windows_coincide_on_nu(self):
+        # on q = nu(p), D = 6 p q (p + q - 1) and 6 p q = 4 (p - 1)(q - 1), so both r equal (p + q - 1)/mu(p)
+        for p in (Fraction(3, 2), 2, 3, Fraction(27, 10)):
+            windows = {case: window() for case, region, window in sufficient_cases(p, hyperbola_nu(p), 2) if region}
+            assert_allclose(windows["d"], windows["e"], rtol=1e-12)
+
+    def test_window_closed_forms(self):
+        # (p, q) = (3, -1/2): D = p q (p q + 8 p + 8 q - 8) = -15.75, mu(3) = 27/4
+        windows = {case: window() for case, region, window in sufficient_cases(3, Fraction(-1, 2), 2) if region}
+        r = -15.75 / (4 * 2 * -1.5 * 6.75)
+        assert_allclose(windows["d"], (13.5, 13.5 * math.sqrt(1 + r)), rtol=1e-15)
+        # on p + q = 1, case (e)'s r is 0: the window is (0, 4 mu(p))
+        windows = {case: window() for case, region, window in sufficient_cases(2, -1, 2) if region}
+        assert windows["e"] == (8.0, 8.0)
+
+    @pytest.mark.parametrize("p, q", [(Fraction(7, 5), Fraction(-2, 5)), (Fraction(201, 200), Fraction(-1, 200))])
+    def test_case_e_on_the_exact_line(self, p, q):
+        # p + q = 1 exactly, but float(p) + float(q) rounds below 1
+        assert float(p) + float(q) < 1
+        assert classify(Params(p, q), 2, 1).scalar_condition == "e"
+        assert scalar_grid_min(Params(p, q), 2, 1) > 0
+
+    def test_no_window_where_the_float_formula_is_undefined(self):
+        # exact p > 1 with float(p) == 1: case (d)'s r divides by float(p) - 1 = 0
+        p = 1 + Fraction(1, 10**20)
+        q = hyperbola_nu(p) / 2
+        regions = {case: region for case, region, _ in sufficient_cases(p, q, 2)}
+        assert regions["d"] and not regions["e"]
+        for c in (-1, Fraction(1, 3), 1, 3):
+            assert scalar_pos_sufficient(Params(p, q), 2, c) is None
 
 
 class TestSearches:

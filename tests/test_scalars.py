@@ -9,16 +9,13 @@ from numpy.testing import assert_allclose
 from cgm.scalars import (
     DomainError,
     Params,
-    analysis_scalars,
     as_exact,
     coefficients,
-    extended_AB,
     f_sup,
     f_value,
     hyperbola_lambda,
     hyperbola_nu,
     mu,
-    multipliers,
     omega,
     omega_q,
     phi,
@@ -68,10 +65,6 @@ def test_coefficients_boundary_limit_p_plus_q_1():
     cs = coefficients(Params(2, -1), 1 - 1e-8, 3)
     assert_allclose(cs.A, -0.5, rtol=1e-6)
     assert_allclose(cs.B, 1.0, rtol=1e-6)
-    A_ext, B_ext = extended_AB(Params(2, -1), 1.0)
-    assert_allclose([A_ext, B_ext], [-0.5, 1.0], rtol=1e-14)
-    with pytest.raises(DomainError):
-        extended_AB(Params(2, -0.5), 1.0)
 
 
 @pytest.mark.parametrize(
@@ -150,7 +143,7 @@ def test_poly_G_matches_three_term_definition_at_p40():
                 - c * c / 2 * t * (1 + q * t) ** 2
                 + (1 + t) ** (2 * p - 2) * C
             )
-            assert g.evaluate_exact(t) == want
+            assert sum(ck * t**k for k, ck in enumerate(g.coefficients)) == want
 
 
 def test_as_exact_keeps_integral_values_int():
@@ -205,6 +198,24 @@ def test_hyperbola_values():
         hyperbola_nu(-2)
 
 
+def test_hyperbola_exact_values():
+    # exact p gives the Fraction of the four-operation forms 8 (1 - p) / (8 + p) and 2 (1 - p) / (2 + p)
+    for p in [Fraction(k, 40) for k in range(-400, 201)] + list(range(-20, 21)):
+        if p != -8:
+            lam = hyperbola_lambda(p)
+            assert type(lam) is Fraction and lam == Fraction(8 * (1 - p)) / Fraction(8 + p), p
+        if p != -2:
+            nu = hyperbola_nu(p)
+            assert type(nu) is Fraction and nu == Fraction(2 * (1 - p)) / Fraction(2 + p), p
+    for pole in (-8, Fraction(-320, 40), -8.0):
+        with pytest.raises(DomainError):
+            hyperbola_lambda(pole)
+    for pole in (-2, Fraction(-80, 40), -2.0):
+        with pytest.raises(DomainError):
+            hyperbola_nu(pole)
+    assert hyperbola_nu(2.7) == 2.0 * (1.0 - 2.7) / (2.0 + 2.7)  # a float p keeps the float formula
+
+
 def test_mu_float_path_past_overflow():
     # below the overflow of p**p the float path keeps its bits; past it mu ~ e*p
     assert mu(142.5) == 142.5**142.5 / 141.5**141.5
@@ -234,37 +245,16 @@ def test_kernels_accept_radius_arrays():
         omega(np.array([0.5, -0.1]))
 
 
-def test_multipliers_domains_and_identities():
-    m = multipliers(Params(3, 0), 2)
-    assert m.m1 == 1.0  # n = 2 collapses m1
-    assert multipliers(Params(-1, 0), 2).m1 is None
-    assert multipliers(Params(0.5, 0), 3).m2 is None
-    m = multipliers(Params(2, -1), 3)
-    assert m.m5 == 1.0  # p + q = 1
-    assert m.m4 is None  # q = -1 < lambda(2) = -0.8
-    nu2 = float(hyperbola_nu(2))
-    m = multipliers(Params(2, nu2), 5)
-    assert_allclose(m.m4, m.m5, rtol=1e-12)
-
-
 def test_f_sup_cases():
-    res = f_sup(Params(2, 0))
-    assert (res.sup, res.attained, res.argmax) == (0.25, True, 1.0)
-    res = f_sup(Params(1, 0))
-    assert (res.sup, res.attained, res.argmax) == (1.0, False, None)
-    res = f_sup(Params(2, -1))  # p + q = 1: supremum at the open boundary
-    assert (res.sup, res.attained, res.argmax) == (0.25, False, None)
-    res = f_sup(Params(3, -1))  # p + q > 1: attained inside
-    assert res.attained and res.argmax == 0.5
-    res = f_sup(Params(1.5, -2))  # p + q < 1: endpoint limit
-    assert not res.attained
-    assert_allclose(res.sup, f_value(0.5, 1.5), rtol=1e-14)
-    assert f_sup(Params(0.5, 1)).sup == math.inf
+    assert f_sup(Params(2, 0)) == 0.25
+    assert f_sup(Params(1, 0)) == 1.0
+    assert f_sup(Params(2, -1)) == 0.25  # p + q = 1: supremum at the open boundary
+    assert f_sup(Params(3, -1)) == 1 / 6.75  # p + q > 1: the value at t = 1/(p-1) = 0.5
+    assert_allclose(f_sup(Params(1.5, -2)), f_value(0.5, 1.5), rtol=1e-14)  # p + q < 1: endpoint limit
+    assert f_sup(Params(0.5, 1)) == math.inf
     # p < 1 and q < 0: f increases up to the open end -1/q
     for p, q, sup in ((0.5, -1, 2**-0.5), (0, -2, 0.5), (-1, -0.5, 6.0)):
-        res = f_sup(Params(p, q))
-        assert not res.attained and res.argmax is None
-        assert_allclose(res.sup, sup, rtol=1e-14)
+        assert_allclose(f_sup(Params(p, q)), sup, rtol=1e-14)
 
 
 @given(
@@ -275,12 +265,12 @@ def test_f_sup_cases():
 def test_f_sup_dominates_grid(p, q):
     if -1e-6 < q < 0:
         q = -1e-6
-    res = f_sup(Params(p, q))
+    sup = f_sup(Params(p, q))
     cap = 1e3 if q >= 0 else -1 / q * (1 - 1e-9)
     grid = np.concatenate([[0.0], np.geomspace(1e-9, cap, 2000)])
     gmax = float(f_value(grid, p).max())
-    assert gmax <= res.sup + 1e-12
-    assert gmax >= res.sup - 1e-3
+    assert gmax <= sup + 1e-12
+    assert gmax >= sup - 1e-3
 
 
 def test_vertical_families_are_P_and_Q():
@@ -342,17 +332,6 @@ def test_phi_matches_coefficient_form(p, q, t, n):
     cs = coefficients(params, t, n)
     direct = (1 + t) ** p * (2 * cs.alpha - (n - 2) * cs.B)
     assert_allclose(phi(params, n, t), direct, rtol=1e-11, atol=1e-11)
-
-
-def test_analysis_scalars():
-    a = analysis_scalars(Params(3, -1))
-    assert_allclose(a.D, 3 * (-1) * (-3 + 24 - 8 - 8))
-    assert_allclose(a.E, 9 * (9 - 12 + 4 + 4))
-    assert_allclose(a.t0, (3 + 2) / (2 * (3 - 1)))
-    assert_allclose(a.s0, -(6 - 2 - 9) / (2 * -1))
-    assert_allclose([a.kappa1, a.kappa2], [0.25, 1.5])
-    assert analysis_scalars(Params(1, 2)).t0 is None
-    assert analysis_scalars(Params(1, 0)).s0 is None
 
 
 def test_domain_guard_excludes_boundary():

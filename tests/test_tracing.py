@@ -2,10 +2,10 @@
 
 `cgmbench/tracing.py` wraps `cgm` functions by module attribute name, so a
 renamed or deleted function breaks the traced benchmark run.  The module is
-loaded from its path and only read: no tracer is installed.  The atlas
-workload (`cgmbench/workloads.py`, `Atlas._raster`) calls the scan functions
-positionally, so renamed or reordered parameters would break only a
-benchmark run.
+loaded from its path and only read: no tracer is installed.  The workloads
+(`cgmbench/workloads.py`) call the scan, search, verify, oracle and batched
+curvature functions with fixed argument lists, so renamed, reordered or
+dropped parameters would break only a benchmark run.
 """
 
 import importlib.util
@@ -13,7 +13,7 @@ import inspect
 import sys
 from pathlib import Path
 
-from cgm import cli, oracle, verify  # cli loads every module of the package
+from cgm import cli, curvature, oracle, regions, verify  # cli loads every module of the package
 
 TRACING = Path(__file__).resolve().parent.parent / "cgmbench" / "tracing.py"
 
@@ -36,3 +36,9 @@ def test_atlas_scan_signatures():
         params = list(inspect.signature(func).parameters.values())
         assert [p.name for p in params] == names, func.__name__
         assert all(p.kind in positional and p.default is p.empty for p in params), func.__name__
+    # the other workloads' calls: (function, number of positional arguments, keyword arguments)
+    for func, count, keywords in ((regions.find_params_thm1, 2, ()), (regions.find_params_thm3, 2, ()),
+                                  (regions.scalar_positivity_interval, 2, ()), (verify.run_suites, 1, ("seed",)),
+                                  (oracle.compare, 3, ("suites",)), (curvature.sectional_batch_spaceform, 7, ()),
+                                  (curvature.FiberPoint.radial, 2, ())):
+        inspect.signature(func).bind(*range(count), **dict.fromkeys(keywords))
