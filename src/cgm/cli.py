@@ -31,8 +31,16 @@ MAX_GRID_CELLS = 10_000_000
 
 
 def parse_number(text: str):
-    """Exact rational flag parsing: "16/3", "0.05", "-2" all stay exact (an int when integral)."""
-    return as_exact(Fraction(text))  # exact for decimal strings
+    """Exact rational flag parsing: "16/3", "0.05", "-2" all stay exact (an int when integral).
+    A zero denominator and a value past the float range are usage errors."""
+    try:
+        value = Fraction(text)  # exact for decimal strings
+        float(value)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"{text!r} is outside the float range") from None
+    return as_exact(value)
 
 
 def parse_range(text: str):
@@ -196,9 +204,10 @@ def cmd_curvature(args) -> int:
     params = Params(args.p, args.q)
     n, c = args.n, float(args.c)
     t_max = float(args.t_max)
-    if t_max < 0:
-        print("error: --t-max must be >= 0", file=sys.stderr)
-        return 2
+    for flag, value in (("--t-max", t_max), ("--samples", args.samples)):
+        if value < 0:
+            print(f"error: {flag} must be >= 0", file=sys.stderr)
+            return 2
     if not params.contains_t(t_max):
         t_max = (1 - 1e-6) * (-1.0 / float(args.q))
         print(f"warning: t-max clipped to {t_max:.9g} (ball-bundle boundary)", file=sys.stderr)
@@ -252,7 +261,7 @@ def cmd_verify(args) -> int:
     results = []
     for name in list(SUITES) if args.suite == "all" else [args.suite]:
         t0, k0 = time.perf_counter(), len(results)
-        results += run_suites([name], seed=args.seed, tol_scale=args.tol_scale)
+        results += run_suites([name], seed=args.seed)
         print(f"verify: {name} {len(results) - k0} checks in {time.perf_counter() - t0:.1f} s", file=sys.stderr)
     for res in results:
         print(json.dumps(res.as_dict()))
@@ -302,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", help="run the invariant suites")
     vf.add_argument("--suite", choices=list(SUITES) + ["all"], default="all")
     vf.add_argument("--seed", type=int, default=0)
-    vf.add_argument("--tol-scale", type=float, default=1.0)
     vf.set_defaults(func=cmd_verify)
     return parser
 

@@ -34,31 +34,27 @@ BOUNDARY_MARGIN = 1e-3
 
 @dataclass(frozen=True)
 class Chart:
-    """Conformal coordinate chart of a space form of curvature c."""
+    """Conformal coordinate chart of a space form of curvature c: flat at c = 0, the
+    stereographic sphere for c > 0 and the Poincare ball for c < 0."""
 
     n: int
     c: float
-    kind: str
-    radius: float  # coordinate radius of the safe domain
 
     @classmethod
     def space_form(cls, n: int, c: float) -> "Chart":
-        c = float(c)
-        if c == 0:
-            return cls(n, c, "flat", math.inf)
-        if c > 0:
-            return cls(n, c, "stereographic_sphere", 0.8)
-        return cls(n, c, "poincare_ball", 0.9)
+        return cls(n, float(c))
 
     def metric(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.kind == "flat":
+        if self.c == 0:
             return np.eye(self.n)
         r2 = math.copysign(float(x @ x), self.c)  # 1 + |x|^2 on the sphere, 1 - |x|^2 on the ball
         return (1.0 / abs(self.c)) * (2.0 / (1.0 + r2)) ** 2 * np.eye(self.n)
 
     def in_domain(self, x: np.ndarray) -> bool:
-        return float(np.linalg.norm(x)) <= self.radius
+        """Whether x lies in the safe coordinate radius: 0.8 on the sphere, 0.9 on the ball, any when flat."""
+        radius = math.inf if self.c == 0 else 0.8 if self.c > 0 else 0.9
+        return float(np.linalg.norm(x)) <= radius
 
 
 @dataclass
@@ -264,7 +260,6 @@ def compare(
     chart: Chart,
     pt: TMPoint,
     suites: Iterable[str] = ("sectional", "ricci", "scalar", "connection"),
-    tolerances: Optional[dict] = None,
     nested_step: float = DEFAULT_NESTED_STEP,
 ) -> ComparisonReport:
     """Evaluate both curvature pipelines at a tangent-bundle point and diff them.
@@ -274,9 +269,7 @@ def compare(
     and reports per-quantity relative errors (absolute when the closed form
     vanishes).
     """
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
+    tol = dict(DEFAULT_TOLERANCES)  # the report's own copy
     n = chart.n
     if not chart.in_domain(pt.x):
         raise DomainError("base point outside the chart's safe domain")

@@ -19,12 +19,13 @@ The sampled minima :func:`vertical_curvature_minimum` and
 :func:`sectional_witness_min` evaluate the plane families at drawn radii; they
 are diagnostics, and `verify` decides the region checks exactly instead.
 
-The scalar-curvature grids share one read-only radius grid for q >= 0;
-:func:`scalar_positivity_interval` evaluates f and phi on its grid once per
-call (bit-identical ends).  The constructive searches return a
-:class:`SearchResult` whose certificate records the grid minimum of the scalar
-curvature (always positive) and, for the nonnegative-q route, the
-all-positive coefficient list of the sign polynomial G, the first of the
+The scalar-curvature grids share one read-only radius grid for q >= 0.
+:func:`scalar_grid_min` is the one evaluation of the scalar curvature on the
+certificate grid; :func:`scalar_positivity_interval` evaluates f and phi on
+its grid once per call (bit-identical ends).  The constructive searches return
+a :class:`SearchResult` whose certificate records that grid minimum (always
+positive), its overflow count when nonzero and, for the nonnegative-q route,
+the all-positive coefficient list of the sign polynomial G, the first of the
 candidates of one generator that has it.
 """
 
@@ -342,8 +343,11 @@ def _t_grid(params: Params) -> np.ndarray:
     return np.unique(np.concatenate([low, tb * _NEAR_END]))
 
 
-def scalar_grid_min(params: Params, n: int, c: Number) -> float:
-    return float(scalar_curvature_spaceform(params, n, c, _t_grid(params)).min())
+def scalar_grid_min(params: Params, n: int, c: Number) -> tuple[float, int]:
+    """The minimum of the scalar curvature on the radius grid, and how many grid values overflowed."""
+    with np.errstate(over="ignore"):
+        s = scalar_curvature_spaceform(params, n, c, _t_grid(params))
+    return float(s.min()), int(np.count_nonzero(~np.isfinite(s)))
 
 
 def _phi_limit(params: Params, n: int) -> float:
@@ -491,8 +495,8 @@ def sectional_witness_min(params: Params, n: int, c: Number) -> float:
     """Minimum sectional curvature over the lifted-plane families at sampled radii.
 
     The families are those of :func:`radial_planes`; radii include the
-    critical points of f, P and Q and, for q >= 0, the sign probes of P and Q
-    at any radius.  They bound every lifted plane spanned by an orthonormal
+    critical point of f and the sign probes of P and Q, at any radius for
+    q >= 0.  They bound every lifted plane spanned by an orthonormal
     base pair (X, Y), which is the scope of the K >= 0 characterization: with
     u = <X,e>^2 + <Y,e>^2 <= t, a horizontal plane has c - (3/4) c^2 u/(1+t)^p
     >= the u = t value, a vertizontal plane a nonnegative value (0 at t = 0),
@@ -508,12 +512,8 @@ def sectional_witness_min(params: Params, n: int, c: Number) -> float:
     if q < 0:
         tb = -1.0 / q
         t_vals += list(tb * (1.0 - np.geomspace(2e-9, 1e-1, 16)))
-    # the critical points of f and the vertices t0, s0 of P and Q
-    t0 = (p + 2) / (2 * (p - 1)) if p != 1 else None
-    s0 = -(2 * p + 2 * q - p * p) / (2 * q) if q != 0 else None
-    for crit in (1.0 / (p - 1.0) if p > 1 else None, t0, s0):
-        if crit is not None and 0 < crit < t_hi:
-            t_vals.append(crit)
+    if p > 1 and 1.0 / (p - 1.0) < t_hi:  # the critical point of f
+        t_vals.append(1.0 / (p - 1.0))
     # scale-free sign probes: one point in every sign region of P and Q; the
     # fibre is unbounded for q >= 0, so those probes are not clipped to t_hi
     probe_hi = math.inf if q >= 0 else t_hi
@@ -545,16 +545,13 @@ class SearchResult:
 def _certified(params: Params, n: int, c: Number, extra: dict) -> SearchResult:
     """``params`` certified by the grid minimum of the scalar curvature, the overflow count, ``extra``."""
     t0 = time.perf_counter()
-    with np.errstate(over="ignore"):
-        s = scalar_curvature_spaceform(params, n, c, _t_grid(params))
-    m = float(s.min())
+    m, nonfinite = scalar_grid_min(params, n, c)
     if not m > 0:
         raise AssertionError(f"search postcondition violated: grid minimum {m} at {params}")
     cert = {
         "min_scalar_on_grid": m,
         "grid": "10000-point log grid on the admissible radii (t <= 1e6)",
     }
-    nonfinite = int(np.count_nonzero(~np.isfinite(s)))
     if nonfinite:
         cert["nonfinite_on_grid"] = nonfinite
     cert.update(extra)

@@ -77,7 +77,7 @@ def _check_bool(name: str, ok: bool, detail: str = "") -> CheckResult:
 # identities
 
 
-def suite_identities(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]:
+def suite_identities(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
 
@@ -94,7 +94,7 @@ def suite_identities(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]
         lhs = wq * (cs.A - q * cs.B)
         scale = max(abs(wq * cs.A), abs(wq * q * cs.B), abs(cs.C), 1e-12)
         worst = max(worst, abs(lhs - cs.C) / scale)
-    out.append(_check("identity_omega_q_A_qB_C", worst, 1e-12 * tol_scale))
+    out.append(_check("identity_omega_q_A_qB_C", worst, 1e-12))
 
     # C(t) defining combination, against the expanded coefficients
     worst = 0.0
@@ -103,7 +103,7 @@ def suite_identities(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]
         direct = 2 * poly_P(params).evaluate(t) + (int(n) - 2) * (1 + q * t) * poly_Q(params).evaluate(t)
         via = poly_C(params, int(n)).evaluate(t)
         worst = max(worst, abs(direct - via) / max(abs(direct), 1.0))
-    out.append(_check("poly_C_definition", worst, 1e-12 * tol_scale))
+    out.append(_check("poly_C_definition", worst, 1e-12))
 
     # coefficientwise C == 2P at n = 2, exactly
     exact = True
@@ -137,7 +137,7 @@ def suite_identities(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]
         direct = (1 + t) ** p * (2 * cs.alpha - (int(n) - 2) * cs.B)
         via = phi(params, int(n), t)
         worst = max(worst, abs(direct - via) / max(abs(direct), 1.0))
-    out.append(_check("phi_consistency", worst, 1e-12 * tol_scale))
+    out.append(_check("phi_consistency", worst, 1e-12))
 
     # f_sup against a grid maximum
     worst_low, ok_upper = 0.0, True
@@ -151,7 +151,7 @@ def suite_identities(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]
         gmax = float(f_value(grid_t, p).max())
         ok_upper &= gmax <= sup + 1e-12
         worst_low = max(worst_low, sup - gmax)
-    out.append(_check("f_sup_grid_lower", worst_low, 1e-3 * tol_scale))
+    out.append(_check("f_sup_grid_lower", worst_low, 1e-3))
     out.append(_check_bool("f_sup_grid_upper", ok_upper))
 
     # G coefficient expansion vs its defining three-term expression
@@ -172,7 +172,7 @@ def suite_identities(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]
                 + (1 + t) ** (2 * p - 2) * poly_C(Params(p, q), n).evaluate(t)
             )
             worst = max(worst, abs(g.evaluate(t) - direct) / max(abs(direct), 1.0))
-    out.append(_check("poly_G_three_term", worst, 1e-10 * tol_scale))
+    out.append(_check("poly_G_three_term", worst, 1e-10))
 
     # zero-section scalar curvature identity
     worst = 0.0
@@ -182,7 +182,7 @@ def suite_identities(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]
         got = scalar_curvature_spaceform(Params(p, q), n, c, 0.0)
         want = n * (n - 1) * (c + 2 * p + q)
         worst = max(worst, abs(got - want) / max(abs(want), 1.0))
-    out.append(_check("scalar_zero_section", worst, 1e-12 * tol_scale))
+    out.append(_check("scalar_zero_section", worst, 1e-12))
     return out
 
 
@@ -198,7 +198,7 @@ def _random_point(rng, n, q) -> cv.FiberPoint:
     return cv.FiberPoint(math.sqrt(t) * direction)
 
 
-def suite_symmetries(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]:
+def suite_symmetries(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
 
@@ -228,9 +228,9 @@ def suite_symmetries(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]
         bnorm = np.linalg.norm(bi.h, axis=-1) + np.linalg.norm(bi.v, axis=-1)
         rnorm = np.linalg.norm(RAB.h, axis=-1) + np.linalg.norm(RAB.v, axis=-1)
         worst_bianchi = max(worst_bianchi, (bnorm / np.maximum(rnorm, 1.0)).max())
-    out.append(_check("curvature_antisymmetry", worst_anti, 1e-9 * tol_scale))
-    out.append(_check("curvature_pair_symmetry", worst_pair, 1e-9 * tol_scale))
-    out.append(_check("first_bianchi", worst_bianchi, 1e-9 * tol_scale))
+    out.append(_check("curvature_antisymmetry", worst_anti, 1e-9))
+    out.append(_check("curvature_pair_symmetry", worst_pair, 1e-9))
+    out.append(_check("first_bianchi", worst_bianchi, 1e-9))
 
     # vertical sectional formula vs assembled curvature / metric quotient
     worst = 0.0
@@ -247,7 +247,7 @@ def suite_symmetries(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]
         direct = cv.sectional(params, e, "vv", X, Y, base)
         via = cv.sectional_plane(params, e, cv.LiftVector.vertical(X), cv.LiftVector.vertical(Y), base)
         worst = max(worst, abs(direct - via) / max(abs(direct), 1.0))
-    out.append(_check("metric_compatibility_vv", worst, 1e-10 * tol_scale))
+    out.append(_check("metric_compatibility_vv", worst, 1e-10))
 
     # flat fibres characterize the Sasaki point
     base0 = cv.BaseCurvature.space_form(0.0)
@@ -257,7 +257,7 @@ def suite_symmetries(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]
         e = _random_point(rng, n, 0.0)
         basis = np.eye(n)
         worst = max(worst, abs(cv.sectional(Params(0, 0), e, "vv", basis[0], basis[1], base0)))
-    out.append(_check("sasaki_flat_fibres", worst, 1e-13 * tol_scale))
+    out.append(_check("sasaki_flat_fibres", worst, 1e-13))
     nonflat = True
     for _ in range(20):
         p, q = rng.uniform(-3, 4), rng.uniform(-2, 3)
@@ -278,7 +278,7 @@ def suite_symmetries(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]
         e = cv.FiberPoint.radial(tb - 1e-6, 3)
         k = cv.sectional(params, e, "vv", np.eye(3)[1], np.eye(3)[2], cv.BaseCurvature.space_form(0.0))
         worst = max(worst, abs(k - float(mu(p))) / float(mu(p)))
-    out.append(_check("boundary_vertical_limit", worst, 1e-4 * tol_scale))
+    out.append(_check("boundary_vertical_limit", worst, 1e-4))
 
     # Ricci = sum of sectional curvatures over an orthonormal completion
     worst = 0.0
@@ -292,7 +292,7 @@ def suite_symmetries(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]
         total = sum(cv.sectional_plane(params, e, V, F, base) for F in frame if F is not V)
         rho = cv.ricci(params, n, e, "vv", V.v, V.v, base) / cv.metric_h(params, e, V, V)
         worst = max(worst, abs(total - rho) / max(abs(rho), 1.0))
-    out.append(_check("ricci_sectional_trace", worst, 1e-8 * tol_scale))
+    out.append(_check("ricci_sectional_trace", worst, 1e-8))
 
     # scalar = full Ricci trace over the 2n-frame
     worst = 0.0
@@ -309,7 +309,7 @@ def suite_symmetries(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]
         )
         s = cv.scalar(params, n, e, base)
         worst = max(worst, abs(trace - s) / max(abs(s), 1.0))
-    out.append(_check("scalar_ricci_trace", worst, 1e-10 * tol_scale))
+    out.append(_check("scalar_ricci_trace", worst, 1e-10))
 
     # zero-section identities
     worst = 0.0
@@ -330,7 +330,7 @@ def suite_symmetries(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]
             abs(khv),
             abs(s - want_s) / max(abs(want_s), 1.0),
         )
-    out.append(_check("zero_section_identities", worst, 1e-12 * tol_scale))
+    out.append(_check("zero_section_identities", worst, 1e-12))
     return out
 
 
@@ -419,7 +419,7 @@ def _agreement(name: str, compared: int, bad: list, columns: str) -> CheckResult
     return _check_bool(name, not bad, detail if bad else f"{compared} exact decisions agree")
 
 
-def suite_regions(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]:
+def suite_regions(seed: int = 0) -> list[CheckResult]:
     out = []
 
     # the classifier against the exact decisions from the signs of P and Q
@@ -447,7 +447,7 @@ def suite_regions(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]:
     labeled = sufficient_condition_samples(seed)
     label_ok = all(rg.scalar_pos_sufficient(params, n, c) is not None for params, n, c in labeled)
     worst_min, params, n, c = min(
-        ((rg.scalar_grid_min(params, n, c), params, n, c) for params, n, c in labeled), key=lambda row: row[0]
+        ((rg.scalar_grid_min(params, n, c)[0], params, n, c) for params, n, c in labeled), key=lambda row: row[0]
     )
     out.append(
         CheckResult(
@@ -577,7 +577,7 @@ def _oracle_record(params: Params, n: int, c: float, t: float, name: str = "scal
     return next(r for r in report.records if r.name == name)
 
 
-def suite_oracle(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]:
+def suite_oracle(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
 
@@ -590,14 +590,13 @@ def suite_oracle(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]:
                 x = rng.uniform(-0.4, 0.4, n)
                 K, _ = oc.chart_base_check(chart, x)
                 worst = max(worst, abs(K - c) / abs(c))
-    out.append(_check("chart_self_certification", worst, 1e-5 * tol_scale))
+    out.append(_check("chart_self_certification", worst, 1e-5))
 
     # cross-validation matrix; the tightest record of each cell, with the cell
-    tols = {k: v * tol_scale for k, v in oc.DEFAULT_TOLERANCES.items()}
     worst = 0.0
     failures, tightest = [], []
     for params, n, c, t in oracle_matrix_cells():
-        rep = oc.compare(params, oc.Chart.space_form(n, c), _cell_point(n, c, t), tolerances=tols)
+        rep = oc.compare(params, oc.Chart.space_form(n, c), _cell_point(n, c, t))
         worst = max(worst, rep.max_rel_err())
         tightest.append((rep.tightest(), params, n, c, t))
         if not rep.passed:
@@ -625,7 +624,7 @@ def suite_oracle(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]:
         _check(
             "alpha_zero_section_adjudication",
             abs(val - want) / want,
-            1e-4 * tol_scale,
+            1e-4,
             f"numeric {val:.6f} matches (n-1)(2p+q)={want}, excludes (n-2)(2p+q)={reject}",
         )
     )
@@ -681,7 +680,7 @@ def _upper_end_check(
     )
 
 
-def suite_interval(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]:
+def suite_interval(seed: int = 0) -> list[CheckResult]:
     """Scalar-positivity interval of h_{1,1}: exact ends 0, 4 (n = 2) and 3 -+ sqrt(11) (n = 3).
 
     The quoted bounds C_2 >= 40 and C_3 > 60 are checked against the
@@ -689,7 +688,7 @@ def suite_interval(seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]:
     the intervals they claim.
     """
     out = []
-    tol = 1e-6 * tol_scale
+    tol = rg.INTERVAL_TOL  # each end of the bisection is accurate to this
     lo2, hi2 = rg.scalar_positivity_interval(Params(1, 1), 2)
     lo3, hi3 = rg.scalar_positivity_interval(Params(1, 1), 3)
     out.append(_check("interval_h11_n2_lower", abs(lo2), tol, f"c_lo={lo2:.2e}"))
@@ -722,8 +721,8 @@ SUITES: dict[str, Callable[..., list[CheckResult]]] = {
 }
 
 
-def run_suites(names: Iterable[str], seed: int = 0, tol_scale: float = 1.0) -> list[CheckResult]:
+def run_suites(names: Iterable[str], seed: int = 0) -> list[CheckResult]:
     results = []
     for name in names:
-        results.extend(SUITES[name](seed=seed, tol_scale=tol_scale))
+        results.extend(SUITES[name](seed=seed))
     return results

@@ -104,7 +104,7 @@ def test_criterion_4_scalar_positivity_soundness():
     labeled = True
     for params, n, c in samples:
         labeled &= rg.scalar_pos_sufficient(params, n, c) is not None
-        worst = min(worst, rg.scalar_grid_min(params, n, c))
+        worst = min(worst, rg.scalar_grid_min(params, n, c)[0])
     ok = labeled and worst > 0
     assert report(
         4, ok,

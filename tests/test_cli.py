@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
@@ -19,6 +21,7 @@ from cgm.cli import (
     write_scan_csv,
     write_scan_svg,
 )
+from cgm import verify
 from cgm.regions import cell_value
 from cgm.verify import CheckResult
 
@@ -92,6 +95,30 @@ class TestClassifyCommand:
             main(["classify", "--p", "1", "--n", "3"])  # missing --q
         assert exc.value.code == 2
         assert main(["classify", "--p", "1", "--q", "1", "--n", "1"]) == 2
+
+
+USAGE_ERRORS = [
+    (("find-params", "--n", "2", "--c", "1/0"), "zero denominator"),
+    (("scan", "--p-range=0:1:1/0", "--q-range=0:1:1", "--n", "2", "--predicate", "gamma", "--csv", "x.csv"),
+     "zero denominator"),
+    (("find-params", "--n", "3", "--c", "1e400"), "outside the float range"),
+    (("curvature", "--p", "1", "--q", "1", "--n", "3", "--c", "1", "--samples=-1"), "--samples must be >= 0"),
+    (("verify", "--tol-scale", "1"), "unrecognized arguments: --tol-scale"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                         ids=["zero_denominator", "zero_denominator_in_range", "past_float_range",
+                              "negative_samples", "removed_flag"])
+def test_usage_errors_exit_2(argv, message, capsys):
+    # argparse exits 2 from inside main; the other usage errors return 2
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
 
 
 class TestScanCommand:
@@ -467,8 +494,16 @@ class TestByteIdentity:
 
 
 class TestVerifyCommand:
-    def test_identities_pass_exit_0(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "identities")
+    @pytest.fixture(scope="class")
+    def identities_run(self):
+        """One `cgm verify --suite identities` run: exit code, stdout and stderr."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--suite", "identities"])
+        return code, out.getvalue(), err.getvalue()
+
+    def test_identities_pass_exit_0(self, identities_run):
+        code, out, _ = identities_run
         assert code == 0
         for line in out.strip().splitlines():
             record = json.loads(line)
@@ -485,10 +520,11 @@ class TestVerifyCommand:
         record = CheckResult("c", "pass", 1e-3, "d", extra={"headroom": 1.5, "worst": "w"}).as_dict()
         assert list(record) == ["name", "status", "max_err", "headroom", "worst", "detail"]
 
-    def test_forced_failure_exit_1(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "identities", "--tol-scale", "1e-30")
+    def test_forced_failure_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setitem(verify.SUITES, "identities", lambda seed: [CheckResult("forced", "fail", 1.0, tol=0.5)])
+        code, out, _ = run_cli(capsys, "verify", "--suite", "identities")
         assert code == 1
-        assert any(json.loads(l)["status"] == "fail" for l in out.strip().splitlines())
+        assert [json.loads(l)["status"] for l in out.strip().splitlines()] == ["fail"]
 
     def test_interval_pass_exit_0(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "interval")
@@ -498,8 +534,8 @@ class TestVerifyCommand:
         assert "C_2 >= 40" in records["interval_h11_n2_upper_reported"]["detail"]
         assert "C_3 > 60" in records["interval_h11_n3_upper_reported"]["detail"]
 
-    def test_suite_timing_on_stderr(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "--suite", "identities")
+    def test_suite_timing_on_stderr(self, identities_run):
+        code, out, err = identities_run
         assert code == 0 and len(out.strip().splitlines()) == 10
         assert re.fullmatch(r"verify: identities 10 checks in \d+\.\d s\n", err)
 

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from cgm.scalars import DomainError, Params
 from cgm.curvature import BaseCurvature, FiberPoint, sectional
 from cgm.oracle import (
+    DEFAULT_TOLERANCES,
     Chart,
     ComparisonReport,
     TMPoint,
@@ -24,9 +25,17 @@ X0 = np.array([0.12, -0.07, 0.05])
 
 
 def test_chart_kinds():
-    assert Chart.space_form(2, 0.0).kind == "flat"
-    assert Chart.space_form(2, 2.0).kind == "stereographic_sphere"
-    assert Chart.space_form(2, -1.0).kind == "poincare_ball"
+    # the sign of c decides the chart: flat, the stereographic sphere with safe
+    # radius 0.8, the Poincare ball with safe radius 0.9
+    x = np.array([0.3, -0.4])  # |x|^2 = 1/4
+    assert_allclose(Chart.space_form(2, 0).metric(x), np.eye(2), rtol=0, atol=0)
+    assert_allclose(Chart.space_form(2, 2).metric(x), 0.5 * (2 / 1.25) ** 2 * np.eye(2), rtol=1e-15)
+    assert_allclose(Chart.space_form(2, -1).metric(x), (2 / 0.75) ** 2 * np.eye(2), rtol=1e-15)
+    for c, inside, outside in ((0, 1e150, None), (2, 0.8, 0.8000001), (-1, 0.9, 0.9000001)):
+        chart = Chart.space_form(2, c)
+        assert chart == Chart(2, float(c))
+        assert chart.in_domain(np.array([0.0, inside]))
+        assert outside is None or not chart.in_domain(np.array([outside, 0.0]))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -148,6 +157,8 @@ def test_compare_sasaki_fibres_flat_both_pipelines():
     assert abs(rec["sectional_vv_radial"].closed_form) < 1e-12
     assert abs(rec["sectional_vv_radial"].numeric) < 1e-6
     assert rep.passed
+    # the report holds its own copy of the one tolerance table
+    assert rep.tolerances == DEFAULT_TOLERANCES and rep.tolerances is not DEFAULT_TOLERANCES
 
 
 def test_compare_rejects_boundary_points():

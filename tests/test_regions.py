@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from cgm.curvature import BaseCurvature, FiberPoint, LiftVector, sectional_plane
 from cgm.scalars import Params, hyperbola_lambda, hyperbola_nu, mu, poly_G
-from cgm.verify import DELTA_C, _exact_nonneg, _exact_vertical, _sign_holds, delta_grid_verdicts
+from cgm.verify import DELTA_C, _exact_nonneg, _exact_vertical, _sign_holds, delta_grid_verdicts, suite_regions
 from cgm.regions import (
     _coeff_polys_in_q,
     _t_grid,
@@ -237,7 +237,7 @@ class TestScalarSufficient:
             c = float(rng.uniform(-5, 30))
             if scalar_pos_sufficient(Params(p, q), n, c) is None:
                 continue
-            assert scalar_grid_min(Params(p, q), n, c) > 0, (p, q, n, c)
+            assert scalar_grid_min(Params(p, q), n, c)[0] > 0, (p, q, n, c)
             checked += 1
 
     @staticmethod
@@ -287,7 +287,7 @@ class TestScalarSufficient:
         # p + q = 1 exactly, but float(p) + float(q) rounds below 1
         assert float(p) + float(q) < 1
         assert classify(Params(p, q), 2, 1).scalar_condition == "e"
-        assert scalar_grid_min(Params(p, q), 2, 1) > 0
+        assert scalar_grid_min(Params(p, q), 2, 1)[0] > 0
 
     def test_no_window_where_the_float_formula_is_undefined(self):
         # exact p > 1 with float(p) == 1: case (d)'s r divides by float(p) - 1 = 0
@@ -534,3 +534,12 @@ def test_delta_grid_verdicts_match_classify(p_axis, q_axis):
                 for predicate, inside in want.items():
                     key = (predicate, None if predicate.startswith("gamma") else c)
                     assert grid[key][i, j] == inside, (p, q, c, predicate)
+
+
+def test_suite_regions_passes():
+    checks = suite_regions(seed=0)
+    assert [r.name for r in checks] == [
+        "classifier_vs_bruteforce", "delta_monotone_in_c", "subset_relations", "delta_in_gamma_closure",
+        "scalar_sufficiency_sound", "nonneg_sectional_witness", "constructive_searches",
+    ]
+    assert all(r.ok for r in checks), [r.as_dict() for r in checks if not r.ok]

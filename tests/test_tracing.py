@@ -5,7 +5,8 @@ renamed or deleted function breaks the traced benchmark run.  The module is
 loaded from its path and only read: no tracer is installed.  The workloads
 (`cgmbench/workloads.py`) call the scan, search, verify, oracle and batched
 curvature functions with fixed argument lists, so renamed, reordered or
-dropped parameters would break only a benchmark run.
+dropped parameters would break only a benchmark run.  The search workload's
+`regions.scalar_grid_min` metric reads 0 unless each certificate calls it.
 """
 
 import importlib.util
@@ -42,3 +43,15 @@ def test_atlas_scan_signatures():
                                   (oracle.compare, 3, ("suites",)), (curvature.sectional_batch_spaceform, 7, ()),
                                   (curvature.FiberPoint.radial, 2, ())):
         inspect.signature(func).bind(*range(count), **dict.fromkeys(keywords))
+
+
+def test_certificates_call_scalar_grid_min(monkeypatch):
+    grid_min, calls = regions.scalar_grid_min, []
+    monkeypatch.setattr(regions, "scalar_grid_min", lambda *args: calls.append(args) or grid_min(*args))
+    for search in (regions.find_params_thm1, regions.find_params_thm3):
+        for n, c in ((2, -1), (3, 4), (5, 0)):
+            calls.clear()
+            result = search(n, c)
+            assert len(calls) == 1, (search.__name__, n, c)
+            assert calls[0][0] == result.params
+            assert result.certificate["min_scalar_on_grid"] == grid_min(*calls[0])[0]
