@@ -234,12 +234,16 @@ def cmd_curvature(args) -> int:
 
 def cmd_find_params(args) -> int:
     t0 = time.perf_counter()
-    if args.nonneg_q:
-        result = find_params_thm3(args.n, args.c)
-        route = "nonnegative-q coefficient search"
-    else:
-        result = find_params_thm1(args.n, args.c)
-        route = "minimal-mu grid search"
+    try:
+        if args.nonneg_q:
+            result = find_params_thm3(args.n, args.c)
+            route = "nonnegative-q coefficient search"
+        else:
+            result = find_params_thm1(args.n, args.c)
+            route = "minimal-mu grid search"
+    except (ValueError, RuntimeError) as exc:  # c past thm1's bound on p (exit 2), or no certified candidate (1)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ValueError) else 1
     search_s = time.perf_counter() - t0 - result.certificate_s
     print(f"find-params: {route}, search {search_s:.3f} s, certificate {result.certificate_s:.3f} s", file=sys.stderr)
     p, q = float(result.params.p), float(result.params.q)

@@ -16,8 +16,9 @@ q == float(tau): a tie, left to the per-cell rule, as are the sufficient
 cases' regions, whose windows depend on q.
 
 The sampled minima :func:`vertical_curvature_minimum` and
-:func:`sectional_witness_min` evaluate the plane families at drawn radii; they
-are diagnostics, and `verify` decides the region checks exactly instead.
+:func:`sectional_witness_min` evaluate the plane families on the certificate
+grid plus the sign probes of P and Q; they are diagnostics, and `verify`
+decides the region checks exactly instead.
 
 The scalar-curvature grids share one read-only radius grid for q >= 0.
 :func:`scalar_grid_min` is the one evaluation of the scalar curvature on the
@@ -323,7 +324,8 @@ def column_values(predicate: str, p: float, q: np.ndarray, n: int, c: Optional[N
 # scalar curvature grids and tail analysis
 
 GRID_POINTS, GRID_CAP = 10000, 1e6  # the radius grid of scalar_grid_min and the certificates
-INTERVAL_TOL = 1e-6  # the accuracy of each end of scalar_positivity_interval
+INTERVAL_TOL = 1e-6  # the accuracy of each end of scalar_positivity_interval below 2^33
+THM1_K_MAX = 2 ** 17  # find_params_thm1 searches p = 2 + k/10 for k <= THM1_K_MAX
 
 
 _GRID_UNBOUNDED = np.concatenate([[0.0], np.geomspace(1e-8, GRID_CAP, GRID_POINTS - 1)])
@@ -373,8 +375,9 @@ def scalar_positivity_interval(params: Params, n: int) -> tuple[float, float]:
 
     Bisection around the seed c = 0 on the predicate "grid minimum positive,
     tail limit (t -> infinity, q >= 0) nonnegative"; each end is the outermost c
-    at which it held, accurate to INTERVAL_TOL.  The ends can belong to the set:
-    for h_{1,1}, n = 2, the end c = 4 has G = 14 + 22t + 8t^2.  Returns (nan, nan)
+    at which it held, accurate to INTERVAL_TOL, or to the float spacing past
+    |c| = 2^33, where that spacing exceeds INTERVAL_TOL.  The ends can belong to
+    the set: for h_{1,1}, n = 2, the end c = 4 has G = 14 + 22t + 8t^2.  Returns (nan, nan)
     when the seed fails.  f, phi and their limits are evaluated once, not per c.
     Implemented for q >= 0 and for the bounded-range family p + q >= 1, q < 0.
     """
@@ -402,6 +405,8 @@ def scalar_positivity_interval(params: Params, n: int) -> tuple[float, float]:
             return sign * math.inf
         while abs(hi - lo) > INTERVAL_TOL:
             mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):  # past 2^33 the float spacing exceeds INTERVAL_TOL
+                break
             if pred(mid):
                 lo = mid
             else:
@@ -432,44 +437,11 @@ class RadialPlanes(NamedTuple):
 
 def radial_planes(params: Params, c: float, t: np.ndarray) -> RadialPlanes:
     """The radial plane families over a curvature-c space form, at radii t."""
-    w_p = omega(t) ** float(params.p)
-    return RadialPlanes(c - 0.75 * c * c * w_p * t, 0.25 * c * c * w_p * t, *_vertical_planes(params, t))
-
-
-def _vertical_planes(params: Params, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The families ``vv_through`` and ``vv_perp`` of :func:`radial_planes` at radii t."""
+    p = float(params.p)
+    w_p, lift = omega(t) ** p, (1.0 + t) ** p
     _, _, A, B = weights_AB(params, t)
-    lift = (1.0 + t) ** float(params.p)
-    return lift * (A * t + B) / (1.0 + float(params.q) * t), lift * B
-
-
-def vertical_curvature_minimum(params: Params, n: int, samples: int = 10000, seed: int = 0) -> float:
-    """Minimum sectional curvature of vertical 2-planes over sampled radii.
-
-    A vertical plane at radius t has curvature (1+t)^p (A u + B)/(1 + q u),
-    where u in [0, t] is the squared length of the fibre point's projection
-    onto it (u = t for every plane when n = 2).  Its u-derivative is
-    C / (omega_q (1 + q u)^2) with C of fixed sign, so the minimum over the
-    planes at t is at u = 0 or u = t and no plane between them is needed.
-    Radii are log-distributed (plus the zero section and, for q < 0, a
-    boundary-concentrated band), drawn from ``seed``.
-    """
-    if samples < 1:
-        raise ValueError("samples >= 1 required")
-    rng = np.random.default_rng(seed)
-    q = float(params.q)
-    m = max(samples, 2)
-    if q >= 0:
-        t = np.exp(rng.uniform(math.log(1e-9), math.log(1e3), m))
-    else:
-        tb = -1.0 / q
-        k = m // 2
-        t_low = np.exp(rng.uniform(math.log(1e-9), math.log(tb * 0.9), k))
-        t_near = tb * (1.0 - 10.0 ** rng.uniform(-6, -0.05, m - k))
-        t = np.concatenate([t_low, t_near])
-    through, perp = _vertical_planes(params, np.concatenate([[0.0], t]))
-    k = through.min()
-    return float(k) if n < 3 else float(min(k, perp.min()))
+    return RadialPlanes(c - 0.75 * c * c * w_p * t, 0.25 * c * c * w_p * t,
+                        lift * (A * t + B) / (1.0 + float(params.q) * t), lift * B)
 
 
 def _quadratic_sign_probes(coeffs: tuple, t_hi: float) -> list:
@@ -491,36 +463,47 @@ def _quadratic_sign_probes(coeffs: tuple, t_hi: float) -> list:
     return [t for t in probes if 0 < t <= t_hi and math.isfinite(t)]
 
 
-def sectional_witness_min(params: Params, n: int, c: Number) -> float:
-    """Minimum sectional curvature over the lifted-plane families at sampled radii.
-
-    The families are those of :func:`radial_planes`; radii include the
-    critical point of f and the sign probes of P and Q, at any radius for
-    q >= 0.  They bound every lifted plane spanned by an orthonormal
-    base pair (X, Y), which is the scope of the K >= 0 characterization: with
-    u = <X,e>^2 + <Y,e>^2 <= t, a horizontal plane has c - (3/4) c^2 u/(1+t)^p
-    >= the u = t value, a vertizontal plane a nonnegative value (0 at t = 0),
-    and a vertical plane lies between its u = 0 and u = t values, since
-    d/du (A u + B)/(1 + q u) = C / (omega_q (1 + q u)^2) has a fixed sign.
-    Fully general 2-planes of the total space can be negative even where
-    every lifted plane is nonnegative (e.g. (p,q)=(1.108,0), n=2, c=1 near
-    the zero section, confirmed by finite differences); they are not probed.
-    """
-    p, q, cf = float(params.p), float(params.q), float(c)
-    t_hi = 1e3 if q >= 0 else -1.0 / q * (1 - 2e-9)
-    t_vals = [0.0] + list(np.geomspace(1e-6, t_hi * 0.999, 48))
-    if q < 0:
-        tb = -1.0 / q
-        t_vals += list(tb * (1.0 - np.geomspace(2e-9, 1e-1, 16)))
-    if p > 1 and 1.0 / (p - 1.0) < t_hi:  # the critical point of f
-        t_vals.append(1.0 / (p - 1.0))
-    # scale-free sign probes: one point in every sign region of P and Q; the
-    # fibre is unbounded for q >= 0, so those probes are not clipped to t_hi
-    probe_hi = math.inf if q >= 0 else t_hi
+def _witness_radii(params: Params) -> np.ndarray:
+    """The radii of the sampled minima: the certificate grid :func:`_t_grid`, the critical point
+    1/(p - 1) of f and one probe in every sign region of P and Q.  The fibre is unbounded for q >= 0,
+    so there the critical point and the probes are not clipped to the grid."""
+    p, q = float(params.p), float(params.q)
+    t_hi = math.inf if q >= 0 else -1.0 / q * (1 - 2e-9)
+    extra = [1.0 / (p - 1.0)] if p > 1 else []
     for poly in (poly_P(params), poly_Q(params)):
-        t_vals += _quadratic_sign_probes(poly.as_floats(), probe_hi)
-    fam = radial_planes(params, cf, np.array(sorted({t for t in t_vals if 0 <= t <= probe_hi})))
+        extra += _quadratic_sign_probes(poly.as_floats(), t_hi)
+    return np.concatenate([_t_grid(params), [t for t in extra if t <= t_hi]])
 
+
+def vertical_curvature_minimum(params: Params, n: int) -> float:
+    """Minimum sectional curvature of vertical 2-planes at the radii of :func:`_witness_radii`.
+
+    A vertical plane at radius t has curvature (1+t)^p (A u + B)/(1 + q u),
+    where u in [0, t] is the squared length of the fibre point's projection
+    onto it (u = t for every plane when n = 2).  Its u-derivative is
+    C / (omega_q (1 + q u)^2) with C of fixed sign, so the minimum over the
+    planes at t is at u = 0 or u = t, the families ``vv_perp`` and
+    ``vv_through`` of :func:`radial_planes`, and no plane between them is needed.
+    """
+    fam = radial_planes(params, 0.0, _witness_radii(params))
+    return float(min(fam.vv_through.min(), fam.vv_perp.min() if n >= 3 else math.inf))
+
+
+def sectional_witness_min(params: Params, n: int, c: Number) -> float:
+    """Minimum sectional curvature over the lifted-plane families at the radii of :func:`_witness_radii`.
+
+    The families are those of :func:`radial_planes`.  They bound every lifted
+    plane spanned by an orthonormal base pair (X, Y), which is the scope of the
+    K >= 0 characterization: with u = <X,e>^2 + <Y,e>^2 <= t, a horizontal
+    plane has c - (3/4) c^2 u/(1+t)^p >= the u = t value, a vertizontal plane a
+    nonnegative value (0 at t = 0), and a vertical plane lies between its u = 0
+    and u = t values, since d/du (A u + B)/(1 + q u) = C / (omega_q (1 + q u)^2)
+    has a fixed sign.  Fully general 2-planes of the total space can be negative
+    even where every lifted plane is nonnegative (e.g. (p,q)=(1.108,0), n=2, c=1
+    near the zero section, confirmed by finite differences); they are not probed.
+    """
+    q, cf = float(params.q), float(c)
+    fam = radial_planes(params, cf, _witness_radii(params))
     mins = [fam.hh.min(), fam.hv.min(), fam.vv_through.min()]
     # the infimum of the horizontal family over an unbounded radius range is analytic
     if q >= 0 and cf != 0:
@@ -562,8 +545,10 @@ def find_params_thm1(n: int, c: Number) -> SearchResult:
     """Smallest-on-grid parameters with positive scalar curvature over M(c).
 
     Dimension 2 searches the line q = 0; higher dimensions the line p+q = 1
-    (so q < 0 and the result metric lives on the ball bundle).  The grid step
-    is 0.1 starting from p = 2, driven by the growth of mu.
+    (so q < 0 and the result metric lives on the ball bundle).  The grid is
+    p = 2 + k/10, driven by the growth of mu: the least k with mu(p) above the
+    threshold, found by doubling k and then bisecting, as mu increases strictly.
+    Raises ValueError when that p would pass 2 + THM1_K_MAX/10 = 13109.2.
     """
     if n < 2:
         raise ValueError("n >= 2 required")
@@ -578,16 +563,22 @@ def find_params_thm1(n: int, c: Number) -> SearchResult:
     else:
         root = math.sqrt(math.e + 2) - math.sqrt(math.e) if n == 2 else math.sqrt(n + 0.75) - math.sqrt(n)
         threshold = -cf / root
-    steps = 0
-    pf = Fraction(2)
-    while float(mu(pf)) <= threshold:
-        pf += Fraction(1, 10)
-        steps += 1
-        if steps > 5000:
-            raise RuntimeError("mu-threshold search failed to terminate")
+
+    def above(k: int) -> bool:
+        return float(mu(2 + Fraction(k, 10))) > threshold
+
+    lo, hi = -1, 0  # the least k with above(k) lies in (lo, hi] once above(hi)
+    while not above(hi):
+        if hi == THM1_K_MAX:
+            raise ValueError(f"no p <= {2 + THM1_K_MAX / 10} on the grid has mu(p) > {threshold:.6g} (c = {c})")
+        lo, hi = hi, max(1, 2 * hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    pf = 2 + Fraction(hi, 10)
     p = float(pf)
     params = Params(p, 0.0) if n == 2 else Params(p, 1.0 - p)
-    extra = {"path": f"grid p=2.0+0.1k, {steps} rejections, mu(p)={float(mu(pf)):.6g} > {threshold:.6g}"}
+    extra = {"path": f"grid p=2.0+0.1k, {hi} rejections, mu(p)={float(mu(pf)):.6g} > {threshold:.6g}"}
     return _certified(params, n, c, extra)
 
 
@@ -654,7 +645,7 @@ def find_params_thm3(n: int, c: Number) -> SearchResult:
         g = poly_G(Params(p, q), n, cx)
         if all(coef > 0 for coef in g.coefficients):
             return _certified(Params(p, q), n, cx, {"G_coefficients": g.as_floats(), "path": path.format(rejections)})
-    raise RuntimeError("coefficient-positivity search failed to terminate")
+    raise RuntimeError(f"coefficient search found no candidate with all G coefficients positive (n={n}, c={c})")
 
 
 def find_params_general(n: int, a: Number, b: Number) -> tuple[float, SearchResult]:

@@ -21,7 +21,7 @@ from cgm.cli import (
     write_scan_csv,
     write_scan_svg,
 )
-from cgm import verify
+from cgm import cli, verify
 from cgm.regions import cell_value
 from cgm.verify import CheckResult
 
@@ -364,6 +364,19 @@ class TestFindParamsCommand:
         assert code == 0
         payload = last_json(out)
         assert payload["p"] > 143 and payload["min_scalar_on_grid"] > 0
+
+    def test_c_past_the_bound_on_p_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "find-params", "--n", "3", "--c", "1e9")
+        assert code == 2 and out == ""
+        assert err.startswith("error: no p <= 13109.2") and err.count("\n") == 1
+
+    def test_no_certified_candidate_exit_1(self, capsys, monkeypatch):
+        def no_candidate(n, c):
+            raise RuntimeError("coefficient-positivity search found no candidate")
+
+        monkeypatch.setattr(cli, "find_params_thm3", no_candidate)
+        code, out, err = run_cli(capsys, "find-params", "--n", "3", "--c", "700", "--nonneg-q")
+        assert (code, out, err) == (1, "", "error: coefficient-positivity search found no candidate\n")
 
     def test_nonneg_route(self, capsys):
         code, out, err = run_cli(capsys, "find-params", "--n", "3", "--c", "-1", "--nonneg-q")

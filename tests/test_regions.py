@@ -99,20 +99,20 @@ class TestVerticalPositivity:
         assert not _exact_vertical(Params(3, 0), 3)
         assert not _exact_vertical(Params(0, 0), 3)
 
-    def test_brute_force_deterministic_in_seed(self):
-        a = vertical_curvature_minimum(Params(1.4, -0.2), 3, 5000, seed=11)
-        b = vertical_curvature_minimum(Params(1.4, -0.2), 3, 5000, seed=11)
-        assert a == b
-
     def test_agrees_with_classifier_on_sample(self):
         rng = np.random.default_rng(3)
         for _ in range(60):
             p, q = rng.uniform(-9, 4), rng.uniform(-3, 3)
             for n in (2, 3):
                 cl = vertical_positivity(Params(p, q), n)
-                bmin = vertical_curvature_minimum(Params(p, q), n, 10_000, seed=7)
+                bmin = vertical_curvature_minimum(Params(p, q), n)
                 if abs(bmin) > 1e-7:
                     assert cl == (bmin > 0), (p, q, n, bmin)
+
+    def test_minimum_sees_sign_changes_past_1e3(self):
+        # P(t) = 6.000001 + 5e-6 t - 2e-6 t^2 turns negative only past t = 1733
+        assert not _exact_vertical(Params(3, 1e-6), 2)
+        assert vertical_curvature_minimum(Params(3, 1e-6), 2) < 0
 
 
 class TestExactDecisions:
@@ -325,6 +325,17 @@ class TestSearches:
         assert find_params_thm1(2, -300).certificate["nonfinite_on_grid"] == 3255
         assert "nonfinite_on_grid" not in find_params_thm1(3, -1).certificate
 
+    @pytest.mark.parametrize("c, p, k", [(1400, 515.6, 5136), (-300, 540.4, 5384)])
+    def test_thm1_past_5000_grid_steps(self, c, p, k):
+        # the least k on p = 2 + k/10, past the 5000 steps a plain ladder would walk
+        res = find_params_thm1(3, c)
+        assert float(res.params.p) == p and res.certificate["min_scalar_on_grid"] > 0
+        assert res.certificate["path"].startswith(f"grid p=2.0+0.1k, {k} rejections,")
+
+    def test_thm1_bound_on_p(self):
+        with pytest.raises(ValueError, match="c = 1000000000"):
+            find_params_thm1(3, 1e9)
+
     def test_coeff_polys_in_q_match_hand_expansion(self):
         # the t^2 and t^1 coefficients of C = 2P + (n-2)(1+qt)Q, expanded by hand in q
         for n in range(2, 7):
@@ -409,6 +420,12 @@ class TestInterval:
     @pytest.mark.parametrize("p, q, n", list(ENDS))
     def test_ends_pinned(self, p, q, n):
         assert tuple(v.hex() for v in scalar_positivity_interval(Params(p, q), n)) == self.ENDS[p, q, n]
+
+    def test_ends_past_float_spacing_of_tol(self):
+        # past 2^33 the float spacing exceeds INTERVAL_TOL, so the bisection stops when the midpoint repeats an end
+        with np.errstate(over="ignore"):  # (1 + t)^p overflows at p = 1e10
+            lo, hi = scalar_positivity_interval(Params(1e10, 0), 2)
+        assert lo < 0 < hi
 
     @pytest.mark.parametrize("q", [1e-170, 1e-200, 5e-324])
     def test_underflowing_q_keeps_the_leading_term_of_C(self, q):
@@ -500,10 +517,10 @@ def test_classify_record_digest():
 
 
 def test_plane_family_minima_digest():
-    # sha256 of repr of the sampled vertical minimum and the lifted-plane
-    # witness minimum at 200 seeded points (every fifth on q = 0, every seventh
-    # on p + q = 1), n = 2 and 3; the digest was recorded before the two
-    # dimensions shared one family evaluation per point
+    # sha256 of repr of the vertical minimum and the lifted-plane witness
+    # minimum at 200 seeded points (every fifth on q = 0, every seventh on
+    # p + q = 1), n = 2 and 3; recorded when both minima moved to one radius
+    # set, the certificate grid plus the critical point and sign probes
     rng = np.random.default_rng(23)
     h = hashlib.sha256()
     for k in range(200):
@@ -511,9 +528,9 @@ def test_plane_family_minima_digest():
         q = 0.0 if k % 5 == 0 else (1 - p if k % 7 == 0 else q)
         params, c = Params(p, q), (0, 1, 16 / 3, 6)[k % 4]
         for n in (2, 3):
-            pair = (vertical_curvature_minimum(params, n, 10_000, k), sectional_witness_min(params, n, c))
+            pair = (vertical_curvature_minimum(params, n), sectional_witness_min(params, n, c))
             h.update(f"{p!r},{q!r},{n},{pair!r}\n".encode())
-    assert h.hexdigest() == "305ae5d9f35940324495bfe0eee5bfb4fcf6356c0813fbab65b67ecf6d2979f8"
+    assert h.hexdigest() == "24cc23d33b15932ddcba56df6ed289457a89a69f2e50393aa7b8cbb54815f952"
 
 
 @pytest.mark.parametrize("p_axis, q_axis", [
