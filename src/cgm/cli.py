@@ -241,7 +241,7 @@ def cmd_find_params(args) -> int:
         else:
             result = find_params_thm1(args.n, args.c)
             route = "minimal-mu grid search"
-    except (ValueError, RuntimeError) as exc:  # c past thm1's bound on p (exit 2), or no certified candidate (1)
+    except (ValueError, RuntimeError) as exc:  # c past a search's bound on p (exit 2), or no certified candidate (1)
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1
     search_s = time.perf_counter() - t0 - result.certificate_s

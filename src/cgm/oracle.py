@@ -22,7 +22,7 @@ import numpy as np
 
 from .curvature import BaseCurvature, FiberPoint, LiftVector
 from . import curvature as closed
-from .scalars import DomainError, Params, omega
+from .scalars import DomainError, Params, check_fiber_radius, omega
 
 #: the step of every first-order central difference; only the nested step of
 #: fd_riemann (and compare) can be set
@@ -112,8 +112,7 @@ def tm_metric(params: Params, chart: Chart, pt: TMPoint) -> np.ndarray:
     g = chart.metric(pt.x)
     t = float(pt.u @ g @ pt.u)
     q = float(params.q)
-    if q * t <= -1.0 + 1e-9:
-        raise DomainError("tangent-bundle point outside the ball bundle")
+    check_fiber_radius(params, t)
     gam = fd_christoffel(chart.metric, pt.x)
     M = np.einsum("kij,j->ki", gam, pt.u)
     gu = g @ pt.u

@@ -326,6 +326,7 @@ def column_values(predicate: str, p: float, q: np.ndarray, n: int, c: Optional[N
 GRID_POINTS, GRID_CAP = 10000, 1e6  # the radius grid of scalar_grid_min and the certificates
 INTERVAL_TOL = 1e-6  # the accuracy of each end of scalar_positivity_interval below 2^33
 THM1_K_MAX = 2 ** 17  # find_params_thm1 searches p = 2 + k/10 for k <= THM1_K_MAX
+THM3_K_MAX = 2 ** 6  # find_params_thm3 starts at p = 2 + k, k <= THM3_K_MAX, for c > 0 and n >= 3
 
 
 _GRID_UNBOUNDED = np.concatenate([[0.0], np.geomspace(1e-8, GRID_CAP, GRID_POINTS - 1)])
@@ -343,6 +344,15 @@ def _t_grid(params: Params) -> np.ndarray:
     tb = -1.0 / q
     low = np.linspace(0.0, tb * (1 - 1e-3), GRID_POINTS // 2)
     return np.unique(np.concatenate([low, tb * _NEAR_END]))
+
+
+def _t_grid_text(params: Params) -> str:
+    """The certificates' description of :func:`_t_grid` (its two q < 0 parts share the point 0.999 T)."""
+    q = float(params.q)
+    if q >= 0:
+        return f"{GRID_POINTS}-point log grid on the admissible radii (t <= 1e6)"
+    return (f"{GRID_POINTS - 1}-point grid on the admissible radii [0, T), T = -1/q = {-1.0 / q:g}, "
+            "linear then clustered toward T")
 
 
 def scalar_grid_min(params: Params, n: int, c: Number) -> tuple[float, int]:
@@ -531,14 +541,25 @@ def _certified(params: Params, n: int, c: Number, extra: dict) -> SearchResult:
     m, nonfinite = scalar_grid_min(params, n, c)
     if not m > 0:
         raise AssertionError(f"search postcondition violated: grid minimum {m} at {params}")
-    cert = {
-        "min_scalar_on_grid": m,
-        "grid": "10000-point log grid on the admissible radii (t <= 1e6)",
-    }
+    cert = {"min_scalar_on_grid": m, "grid": _t_grid_text(params)}
     if nonfinite:
         cert["nonfinite_on_grid"] = nonfinite
     cert.update(extra)
     return SearchResult(params, cert, time.perf_counter() - t0)
+
+
+def _least_above(above, k_max: int, refusal: str) -> int:
+    """The least k >= 0 with above(k), for above monotone in k, by doubling k and then bisecting.
+    Raises ValueError(refusal) when above(k_max) fails; k_max is a power of 2."""
+    lo, hi = -1, 0  # the least k with above(k) lies in (lo, hi] once above(hi)
+    while not above(hi):
+        if hi == k_max:
+            raise ValueError(refusal)
+        lo, hi = hi, max(1, 2 * hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    return hi
 
 
 def find_params_thm1(n: int, c: Number) -> SearchResult:
@@ -564,17 +585,8 @@ def find_params_thm1(n: int, c: Number) -> SearchResult:
         root = math.sqrt(math.e + 2) - math.sqrt(math.e) if n == 2 else math.sqrt(n + 0.75) - math.sqrt(n)
         threshold = -cf / root
 
-    def above(k: int) -> bool:
-        return float(mu(2 + Fraction(k, 10))) > threshold
-
-    lo, hi = -1, 0  # the least k with above(k) lies in (lo, hi] once above(hi)
-    while not above(hi):
-        if hi == THM1_K_MAX:
-            raise ValueError(f"no p <= {2 + THM1_K_MAX / 10} on the grid has mu(p) > {threshold:.6g} (c = {c})")
-        lo, hi = hi, max(1, 2 * hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    hi = _least_above(lambda k: float(mu(2 + Fraction(k, 10))) > threshold, THM1_K_MAX,
+                      f"no p <= {2 + THM1_K_MAX / 10} on the grid has mu(p) > {threshold:.6g} (c = {c})")
     pf = 2 + Fraction(hi, 10)
     p = float(pf)
     params = Params(p, 0.0) if n == 2 else Params(p, 1.0 - p)
@@ -612,9 +624,8 @@ def _thm3_candidates(n: int, cf: float):
             yield p, 0, f"q=0, integer p ascent: accepted p={p} ({{}} rejections)"
     else:
         if cf > 0:
-            p0 = 2
-            while float(mu(p0)) <= cf / (2 * n):
-                p0 += 1
+            p0 = 2 + _least_above(lambda k: float(mu(2 + k)) > cf / (2 * n), THM3_K_MAX,
+                                  f"no starting p <= {2 + THM3_K_MAX} has mu(p) > c/(2n) (n = {n}, c = {cf:g})")
         else:
             p0 = max(2, math.ceil(1 - 9 * cf / 8), math.ceil(1 + math.log(-3 * cf) / math.log(2)))
         for p in range(p0, p0 + 60):
@@ -636,7 +647,9 @@ def find_params_thm3(n: int, c: Number) -> SearchResult:
     The certificate is the all-positive coefficient list of the sign
     polynomial G (sufficient for G > 0 on t >= 0, hence stilde > 0), found by
     an ascending integer-p / doubling-q search seeded at the analytic bounds.
-    Exact rational arithmetic keeps the coefficient signs trustworthy.
+    Exact rational arithmetic keeps the coefficient signs trustworthy.  For c > 0
+    and n >= 3 the search starts at the least p with mu(p) > c/(2n), and raises
+    ValueError naming c when that p would pass 2 + THM3_K_MAX = 66.
     """
     if n < 2:
         raise ValueError("n >= 2 required")

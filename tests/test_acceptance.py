@@ -30,11 +30,10 @@ from cgm import curvature as cv
 from cgm import oracle as oc
 from cgm import regions as rg
 from cgm.verify import (
-    _cell_point,
     _oracle_record,
-    oracle_matrix_cells,
     sufficient_condition_samples,
     suite_identities,
+    suite_oracle,
     suite_symmetries,
     vertical_mismatches,
     witness_mismatches,
@@ -48,21 +47,18 @@ def report(k: int, ok: bool, detail: str) -> bool:
 
 def test_criterion_1_oracle_equivalence():
     start = time.time()
-    worst = 0.0
-    failures = []
-    cells = oracle_matrix_cells()
-    for params, n, c, t in cells:
-        rep = oc.compare(params, oc.Chart.space_form(n, c), _cell_point(n, c, t))
-        worst = max(worst, rep.max_rel_err())
-        if not rep.passed:
-            failures.append((params.p, params.q, n, c, t))
+    checks = {r.name: r for r in suite_oracle(seed=0)}
     elapsed = time.time() - start
-    ok = not failures and elapsed < 60
+    cross = checks["oracle_cross_validation"]
+    names = {"chart_self_certification", "oracle_cross_validation", "alpha_zero_section_adjudication",
+             "fd_step_halving"}
+    ok = set(checks) == names and all(r.ok for r in checks.values()) and elapsed < 60
     assert report(
         1, ok,
-        f"{len(cells)} cells, sectional/ricci/scalar 1e-3 + connection 1e-4, "
-        f"worst rel err {worst:.2e}, {elapsed:.1f}s (< 60s)",
-    ), failures
+        f"suite_oracle: {cross.detail}, sectional/ricci/scalar 1e-3 + connection 1e-4, "
+        f"worst rel err {cross.max_err:.2e}; chart, zero-section Ricci and step halving pass; "
+        f"{elapsed:.1f}s (< 60s)",
+    ), [r.as_dict() for r in checks.values() if not r.ok]
 
 
 def test_criterion_2_identity_suite():

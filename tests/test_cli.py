@@ -370,6 +370,11 @@ class TestFindParamsCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: no p <= 13109.2") and err.count("\n") == 1
 
+    def test_thm3_c_past_the_bound_on_p_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "find-params", "--nonneg-q", "--n", "3", "--c", "1e5")
+        assert code == 2 and out == ""
+        assert err.startswith("error: no starting p <= ") and err.count("\n") == 1
+
     def test_no_certified_candidate_exit_1(self, capsys, monkeypatch):
         def no_candidate(n, c):
             raise RuntimeError("coefficient-positivity search found no candidate")
@@ -496,7 +501,8 @@ class TestByteIdentity:
         (("--nonneg-q", "--n", "3", "--c=-20"), "e4b4089bdf88b93a0fda738d54406b72ec7f6efb0a4f5762f1e61599e606efde"),
         (("--nonneg-q", "--n", "4", "--c=-7/3"), "b8cb7321c5cc4b39930b5025715b399ff676eb79e303d08a0a67a1b97a04daac"),
         (("--n", "2", "--c=16/3"), "d44968eb33f9002d3af76fe86b614d93128912971db400860d5c9b7a7b2447cc"),
-        (("--n", "5", "--c=-20"), "e9c0dca5e5ea588fe4fddf220cc98bcb90a3654eb09d1b417a0e9b9274c5d8ba"),
+        # q = -45 < 0: the certificate's grid text describes the ball-bundle grid [0, 1/45)
+        (("--n", "5", "--c=-20"), "13dc64f111d8ac7c56d729479125d75a5eb597191618e76c4b3306f01987792c"),
     ]
 
     @pytest.mark.parametrize("flags, digest", FIND_PARAMS, ids=["nonneg_n3", "nonneg_n4", "mu_n2", "mu_n5"])

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +14,10 @@ from cgm.curvature import BaseCurvature, FiberPoint, LiftVector, sectional_plane
 from cgm.scalars import Params, hyperbola_lambda, hyperbola_nu, mu, poly_G
 from cgm.verify import DELTA_C, _exact_nonneg, _exact_vertical, _sign_holds, delta_grid_verdicts, suite_regions
 from cgm.regions import (
+    THM3_K_MAX,
     _coeff_polys_in_q,
     _t_grid,
+    _thm3_candidates,
     classify,
     find_params_general,
     find_params_thm1,
@@ -335,6 +339,37 @@ class TestSearches:
     def test_thm1_bound_on_p(self):
         with pytest.raises(ValueError, match="c = 1000000000"):
             find_params_thm1(3, 1e9)
+
+    @pytest.mark.parametrize("c, named", [(1e300, "c = 1e+300"), (10**5, "c = 100000")])
+    def test_thm3_bound_on_starting_p(self, c, named):
+        # c > 0, n >= 3: no starting p <= 2 + THM3_K_MAX has mu(p) > c/(2n), so the search refuses at once
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(named)):
+            find_params_thm3(3, c)
+        assert time.perf_counter() - start < 1.0
+
+    def test_thm3_starting_p_is_the_least_above_the_threshold(self):
+        # the starting p a step-by-step walk from p = 2 finds, up to the bound 2 + THM3_K_MAX and not past it
+        p_max = 2 + THM3_K_MAX
+        edge = 2 * 3 * float(mu(p_max))  # mu(p_max) > c/6 fails exactly at c = edge
+        for c in (1e-9, 1, 5.5, 100, 693.1458758850989, math.nextafter(edge, 0)):
+            p0 = 2
+            while float(mu(p0)) <= c / 6:
+                p0 += 1
+            assert next(_thm3_candidates(3, c))[2].startswith(f"started p={p0},"), c
+        assert p0 == p_max
+        with pytest.raises(ValueError, match=f"no starting p <= {p_max} "):
+            next(_thm3_candidates(3, edge))
+
+    def test_certificate_grid_text(self):
+        # q >= 0: the shared log grid to 1e6; q < 0 (p = 46, q = -45): [0, T) with T = 1/45
+        pos, neg = find_params_thm3(3, -1), find_params_thm1(5, -20)
+        assert pos.certificate["grid"] == "10000-point log grid on the admissible radii (t <= 1e6)"
+        for res in (pos, neg):
+            grid, text = _t_grid(res.params), res.certificate["grid"]
+            assert int(text.split("-point")[0]) == len(grid)
+        assert float(neg.params.q) == -45 and "T = -1/q = 0.0222222," in text
+        assert grid[0] == 0 and grid[-1] < 1 / 45 and (1 / 45) * (1 - 1e-3) in grid
 
     def test_coeff_polys_in_q_match_hand_expansion(self):
         # the t^2 and t^1 coefficients of C = 2P + (n-2)(1+qt)Q, expanded by hand in q
