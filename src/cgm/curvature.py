@@ -335,13 +335,14 @@ def sectional(
     """Sectional curvature of the plane spanned by the named lifts of X and Y.
 
     X and Y must be orthonormal base vectors.  For mixed planes spanned by
-    non-orthogonal base vectors use :func:`sectional_plane`.
+    non-orthogonal base vectors use :func:`sectional_plane`.  The "vv" plane also
+    takes a per-row batch (p, q of shape (m, 1), e of shape (m, n)): an (m,) array.
     """
     check_fiber_radius(params, e.t)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     _check_orthonormal(X, Y)
-    p, q = float(params.p), float(params.q)
+    p, q = as_float(params.p), as_float(params.q)
     w = omega(e.t)
     ev = e.e
     if plane == "hh":
@@ -352,12 +353,13 @@ def sectional(
         reyx = base.R(ev, Y, X)
         return w**p * float(reyx @ reyx) / (4.0 * (1.0 + q * (Y @ ev) ** 2))
     if plane == "vv":
-        u = float((X @ ev) ** 2 + (Y @ ev) ** 2)
+        u = _dot(X, ev) ** 2 + _dot(Y, ev) ** 2
         den = 1.0 + q * u
-        if den <= 0:
+        if np.any(den <= 0):
             raise DomainError("vertical plane leaves the positive-definite cone")
         cs = coefficients(params, e.t, 2)
-        return w ** (-p) * (cs.A * u + cs.B) / den
+        val = w ** (-p) * (cs.A * u + cs.B) / den
+        return float(val) if np.ndim(val) == 0 else val[..., 0]
     raise ValueError(f"unknown plane {plane!r}")
 
 

@@ -20,7 +20,8 @@ The sampled minima :func:`vertical_curvature_minimum` and
 grid plus the sign probes of P and Q; they are diagnostics, and `verify`
 decides the region checks exactly instead.
 
-The scalar-curvature grids share one read-only radius grid for q >= 0.
+The scalar-curvature grids share one read-only radius grid for q >= 0; for
+q < 0 the grid joins two increasing parts, with no sort.
 :func:`scalar_grid_min` is the one evaluation of the scalar curvature on the
 certificate grid; :func:`scalar_positivity_interval` evaluates f and phi on
 its grid once per call (bit-identical ends).  The constructive searches return
@@ -214,8 +215,8 @@ def sufficient_cases(p, q, n: int):
     (case, region, window).  ``window()`` is (k s, k sqrt(1 + r) s), the center and radius of the
     open window |c - k s| < k sqrt(1 + r) s of c, with s = mu(p) or 1 and r the case's own float
     expression in p, q and mu(p), >= 0 on its region up to rounding.  The region, decided exactly, is
-    the only domain test; where r is undefined in floats (case (d) at float(p) == 1 < p) the window is
-    empty.  p is exact, q exact
+    the only domain test; where r divides by zero in floats (case (d) at float(p) == 1 < p) it is
+    evaluated on the exact p and q.  p is exact, q exact
     or a _Column (whose cases give regions only): cases (a)-(e) for n = 2, (a)-(d) for n >= 3."""
 
     def window(k, r, scaled=True):  # r takes float p, q and mu(p)
@@ -223,8 +224,8 @@ def sufficient_cases(p, q, n: int):
             mp = float(mu(p))
             try:
                 m = math.sqrt(1 + r(float(p), float(q), mp))
-            except ZeroDivisionError:
-                m = 0.0
+            except ZeroDivisionError:  # float(p) == 1 < p in case (d): the same r on the exact values
+                m = math.sqrt(1 + r(p, q, Fraction(mp)))
             s = mp if scaled else 1
             return k * s, k * m * s
         return bounds
@@ -327,23 +328,25 @@ GRID_POINTS, GRID_CAP = 10000, 1e6  # the radius grid of scalar_grid_min and the
 INTERVAL_TOL = 1e-6  # the accuracy of each end of scalar_positivity_interval below 2^33
 THM1_K_MAX = 2 ** 17  # find_params_thm1 searches p = 2 + k/10 for k <= THM1_K_MAX
 THM3_K_MAX = 2 ** 6  # find_params_thm3 starts at p = 2 + k, k <= THM3_K_MAX, for c > 0 and n >= 3
+THM3_NEG_K_MAX = 2 ** 9  # and at p <= 2 + THM3_NEG_K_MAX for c < 0: past p ~ 508 no G fits in floats
 
 
 _GRID_UNBOUNDED = np.concatenate([[0.0], np.geomspace(1e-8, GRID_CAP, GRID_POINTS - 1)])
 _GRID_UNBOUNDED.setflags(write=False)
 _NEAR_END = 1.0 - np.geomspace(1e-6, 1e-3, GRID_POINTS - GRID_POINTS // 2)
 _NEAR_END.setflags(write=False)
+_NEAR_END_UP = _NEAR_END[-2::-1]  # increasing, without 1 - 1e-3, the last point of the linear part
 
 
 def _t_grid(params: Params) -> np.ndarray:
     """Deterministic grid over the admissible fibre radii (log-spaced, with 0): one shared read-only
-    array for q >= 0; for q < 0 built from the read-only offsets ``_NEAR_END`` = 1 - t/T, T = -1/q."""
+    array for q >= 0; for q < 0 a linear part to 0.999 T, T = -1/q, then T times the read-only offsets
+    ``_NEAR_END`` = 1 - t/T, increasing parts that share only 0.999 T, so joined they are sorted."""
     q = float(params.q)
     if q >= 0:
         return _GRID_UNBOUNDED
     tb = -1.0 / q
-    low = np.linspace(0.0, tb * (1 - 1e-3), GRID_POINTS // 2)
-    return np.unique(np.concatenate([low, tb * _NEAR_END]))
+    return np.concatenate([np.linspace(0.0, tb * (1 - 1e-3), GRID_POINTS // 2), tb * _NEAR_END_UP])
 
 
 def _t_grid_text(params: Params) -> str:
@@ -628,6 +631,8 @@ def _thm3_candidates(n: int, cf: float):
                                   f"no starting p <= {2 + THM3_K_MAX} has mu(p) > c/(2n) (n = {n}, c = {cf:g})")
         else:
             p0 = max(2, math.ceil(1 - 9 * cf / 8), math.ceil(1 + math.log(-3 * cf) / math.log(2)))
+            if p0 > 2 + THM3_NEG_K_MAX:
+                raise ValueError(f"the starting p for c < 0 passes {2 + THM3_NEG_K_MAX} (n = {n}, c = {cf:g})")
         for p in range(p0, p0 + 60):
             aq, bq = _coeff_polys_in_q(p, n)
             q = max(
@@ -649,7 +654,8 @@ def find_params_thm3(n: int, c: Number) -> SearchResult:
     an ascending integer-p / doubling-q search seeded at the analytic bounds.
     Exact rational arithmetic keeps the coefficient signs trustworthy.  For c > 0
     and n >= 3 the search starts at the least p with mu(p) > c/(2n), and raises
-    ValueError naming c when that p would pass 2 + THM3_K_MAX = 66.
+    ValueError naming c when that p would pass 2 + THM3_K_MAX = 66; for c < 0 and n >= 3, naming n and c
+    when the starting p passes 2 + THM3_NEG_K_MAX = 514, and naming p when G overflows floats.
     """
     if n < 2:
         raise ValueError("n >= 2 required")
@@ -657,7 +663,11 @@ def find_params_thm3(n: int, c: Number) -> SearchResult:
     for rejections, (p, q, path) in enumerate(_thm3_candidates(n, float(cx))):
         g = poly_G(Params(p, q), n, cx)
         if all(coef > 0 for coef in g.coefficients):
-            return _certified(Params(p, q), n, cx, {"G_coefficients": g.as_floats(), "path": path.format(rejections)})
+            try:
+                coefficients = g.as_floats()
+            except OverflowError:
+                raise ValueError(f"G at p = {p}, q = {q} has coefficients past the float range") from None
+            return _certified(Params(p, q), n, cx, {"G_coefficients": coefficients, "path": path.format(rejections)})
     raise RuntimeError(f"coefficient search found no candidate with all G coefficients positive (n={n}, c={c})")
 
 

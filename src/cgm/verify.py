@@ -5,8 +5,9 @@ the CLI can emit one JSON line per check and exit nonzero when anything
 fails.  All sampling is seeded and deterministic.
 
 The regions suite checks the region classifiers against exact decisions: the
-signs of the quadratics P and Q on the fibre radii, settled by three exact
-evaluations each, and for K >= 0 the horizontal cut mu(p) >= 3c/4.
+signs of the quadratics P and Q on the fibre radii, settled by three sign tests
+each on Python ints (P and Q scaled by the square of the common denominator of
+p and q), and for K >= 0 the horizontal cut mu(p) >= 3c/4.
 """
 
 from __future__ import annotations
@@ -198,12 +199,18 @@ def _random_point(rng, n, q) -> cv.FiberPoint:
     return cv.FiberPoint(math.sqrt(t) * direction)
 
 
+def _row_batch(rows: list) -> tuple:
+    """Rows (p, q, c, e, *more) as one per-row batch: Params, FiberPoint, space-form base, more columns."""
+    p, q, c, e, *more = (np.array(col) for col in zip(*rows))
+    return Params(p[:, None], q[:, None]), cv.FiberPoint(e), cv.BaseCurvature.space_form(c[:, None]), more
+
+
 def suite_symmetries(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
 
-    # 1000 samples drawn in the per-sample order (the checks below read the
-    # same generator), then evaluated as one batch per n
+    # each loop draws its samples in the per-sample order (a check reads the generator where the one
+    # before left it), then evaluates them as one batch per n; first 1000 samples of four random lifts
     rows = {2: [], 3: []}
     for _ in range(1000):
         n = int(rng.integers(2, 4))
@@ -212,9 +219,7 @@ def suite_symmetries(seed: int = 0) -> list[CheckResult]:
         rows[n].append((p, q, c, e, *(rng.standard_normal(n) for _ in range(8))))
     worst_anti = worst_pair = worst_bianchi = 0.0
     for group in rows.values():
-        p, q, c, e, *parts = (np.array(col) for col in zip(*group))
-        params = Params(p[:, None], q[:, None])
-        base, e = cv.BaseCurvature.space_form(c[:, None]), cv.FiberPoint(e)
+        params, e, base, parts = _row_batch(group)
         A, B, C, D = (cv.LiftVector(h, v) for h, v in zip(parts[::2], parts[1::2]))
         RAB = cv.riemann_full(params, e, A, B, C, base)
         RBA = cv.riemann_full(params, e, B, A, C, base)
@@ -232,42 +237,37 @@ def suite_symmetries(seed: int = 0) -> list[CheckResult]:
     out.append(_check("curvature_pair_symmetry", worst_pair, 1e-9))
     out.append(_check("first_bianchi", worst_bianchi, 1e-9))
 
-    # vertical sectional formula vs assembled curvature / metric quotient
-    worst = 0.0
+    # vertical sectional formula vs assembled curvature / metric quotient, on the planes of e_1, e_2
+    rows, worst = {2: [], 3: [], 4: []}, 0.0
     for _ in range(200):
         n = int(rng.integers(2, 5))
-        params = Params(rng.uniform(-3, 4), rng.uniform(-2, 3))
-        base = cv.BaseCurvature.space_form(rng.uniform(-2, 2))
-        e = _random_point(rng, n, float(params.q))
-        basis = np.eye(n)
-        X, Y = basis[0], basis[1]
-        u = (X @ e.e) ** 2 + (Y @ e.e) ** 2
-        if 1 + float(params.q) * u <= 1e-3:
-            continue
+        p, q, c = rng.uniform(-3, 4), rng.uniform(-2, 3), rng.uniform(-2, 2)
+        e = _random_point(rng, n, q).e
+        if 1 + q * (e[0] ** 2 + e[1] ** 2) > 1e-3:
+            rows[n].append((p, q, c, e))
+    for n, group in rows.items():
+        (params, e, base, _), (X, Y) = _row_batch(group), np.eye(n)[:2]
         direct = cv.sectional(params, e, "vv", X, Y, base)
         via = cv.sectional_plane(params, e, cv.LiftVector.vertical(X), cv.LiftVector.vertical(Y), base)
-        worst = max(worst, abs(direct - via) / max(abs(direct), 1.0))
+        worst = max(worst, (np.abs(direct - via) / np.maximum(np.abs(direct), 1.0)).max())
     out.append(_check("metric_compatibility_vv", worst, 1e-10))
 
     # flat fibres characterize the Sasaki point
     base0 = cv.BaseCurvature.space_form(0.0)
-    worst = 0.0
+    points = {2: [], 3: []}
     for _ in range(1000):
         n = int(rng.integers(2, 4))
-        e = _random_point(rng, n, 0.0)
-        basis = np.eye(n)
-        worst = max(worst, abs(cv.sectional(Params(0, 0), e, "vv", basis[0], basis[1], base0)))
+        points[n].append(_random_point(rng, n, 0.0).e)
+    worst = max(np.abs(cv.sectional(Params(0, 0), cv.FiberPoint(np.array(es)), "vv", *np.eye(n)[:2], base0)).max()
+                for n, es in points.items())
     out.append(_check("sasaki_flat_fibres", worst, 1e-13))
     nonflat = True
     for _ in range(20):
         p, q = rng.uniform(-3, 4), rng.uniform(-2, 3)
         if abs(p) + abs(q) < 1e-3:
             continue
-        vals = [
-            abs(cv.sectional(Params(p, q), _random_point(rng, 3, q), "vv", np.eye(3)[0], np.eye(3)[1], base0))
-            for _ in range(50)
-        ]
-        nonflat &= max(vals) > 1e-12
+        e = cv.FiberPoint(np.array([_random_point(rng, 3, q).e for _ in range(50)]))
+        nonflat &= bool(np.abs(cv.sectional(Params(p, q), e, "vv", *np.eye(3)[:2], base0)).max() > 1e-12)
     out.append(_check_bool("non_sasaki_curved_fibres", nonflat))
 
     # bounded vertical curvature at the boundary for p + q = 1
@@ -281,7 +281,7 @@ def suite_symmetries(seed: int = 0) -> list[CheckResult]:
     out.append(_check("boundary_vertical_limit", worst, 1e-4))
 
     # Ricci = sum of sectional curvatures over an orthonormal completion
-    worst = 0.0
+    rows, rhos, worst = {2: [], 3: []}, {2: [], 3: []}, 0.0
     for _ in range(60):
         n = int(rng.integers(2, 4))
         params = Params(rng.uniform(-2, 3), rng.uniform(-1.5, 2))
@@ -289,9 +289,13 @@ def suite_symmetries(seed: int = 0) -> list[CheckResult]:
         e = _random_point(rng, n, float(params.q))
         frame = cv.tangent_frame(params, e)
         V = frame[n]  # first vertical frame vector
-        total = sum(cv.sectional_plane(params, e, V, F, base) for F in frame if F is not V)
-        rho = cv.ricci(params, n, e, "vv", V.v, V.v, base) / cv.metric_h(params, e, V, V)
-        worst = max(worst, abs(total - rho) / max(abs(rho), 1.0))
+        rhos[n].append(cv.ricci(params, n, e, "vv", V.v, V.v, base) / cv.metric_h(params, e, V, V))
+        rows[n] += [(params.p, params.q, base.c, e.e, V.h, V.v, F.h, F.v) for F in frame if F is not V]
+    for n, group in rows.items():
+        params, e, base, (Vh, Vv, Fh, Fv) = _row_batch(group)
+        planes = cv.sectional_plane(params, e, cv.LiftVector(Vh, Vv), cv.LiftVector(Fh, Fv), base)
+        total, rho = sum(planes.reshape(-1, 2 * n - 1).T), np.array(rhos[n])  # summed in frame order
+        worst = max(worst, (np.abs(total - rho) / np.maximum(np.abs(rho), 1.0)).max())
     out.append(_check("ricci_sectional_trace", worst, 1e-8))
 
     # scalar = full Ricci trace over the 2n-frame
@@ -351,33 +355,36 @@ def strata_parameter_points() -> dict:
     return {"q<0": neg, "q=0": zero, "q>0": pos}
 
 
-def _sign_holds(coefficients: tuple, q: Fraction, strict: bool) -> bool:
+def _sign_holds(coefficients: tuple, q: int | float | Fraction, strict: bool) -> bool:
     """Whether c0 + c1 t + c2 t^2 (exact) is > 0 (strict) or >= 0 on the radii [0, T), T = -1/q for q < 0,
     else inf: at 0, at a vertex inside (0, T) and at the open end T, where 0 passes even when strict
-    (a crossing inside (0, T) fails the vertex test, so such a zero is approached from above)."""
+    (a crossing inside (0, T) fails the vertex test, so such a zero is approached from above).  With
+    q = b/d, d > 0, each test is the sign of a polynomial in the c_k, b and d, so ints stay ints: the
+    vertex -c1/(2 c2) < T is c1 b < 2 c2 d, its value has the sign of 4 c0 c2 - c1^2, and b^2 P(T) >= 0."""
     c0, c1, c2 = coefficients
+    b, d = q.as_integer_ratio()
     holds = (lambda v: v > 0) if strict else (lambda v: v >= 0)
-    end = -1 / q if q < 0 else math.inf
-    vertex = -c1 / (2 * c2) if c2 > 0 else 0
-    if not holds(c0) or (0 < vertex < end and not holds(c0 + c1 * vertex / 2)):
+    if not holds(c0) or (c2 > 0 > c1 and (b >= 0 or c1 * b < 2 * c2 * d) and not holds(4 * c0 * c2 - c1 * c1)):
         return False
-    return c0 + (c1 + c2 * end) * end >= 0 if q < 0 else c2 > 0 or (c2 == 0 and c1 >= 0)
+    return c0 * b * b - c1 * d * b + c2 * d * d >= 0 if b < 0 else c2 > 0 or (c2 == 0 and c1 >= 0)
 
 
 def _exact_vertical(params: Params, n: int, strict: bool = True) -> bool:
     """Whether every vertical plane has K > 0 (K >= 0 unless strict), from the signs of P and (n >= 3) Q:
     at radius t the planes lie between (1+t)^p (A t + B)/(1 + q t) and (1+t)^p B
-    (:func:`regions.vertical_curvature_minimum`), and A t + B = w^2 w_q P(t), B = w^2 w_q Q(t)."""
-    exact = Params(as_fraction(params.p), as_fraction(params.q))
-    return all(_sign_holds(poly(exact).coefficients, exact.q, strict)
-               for poly in (poly_P, poly_Q)[: 1 if n == 2 else 2])
+    (:func:`regions.vertical_curvature_minimum`), and A t + B = w^2 w_q P(t), B = w^2 w_q Q(t).  With
+    p = a/d and q = b/d, P d^2 and Q d^2 (:func:`scalars.poly_P`, :func:`scalars.poly_Q`) are integral."""
+    (a, da), (b, db) = params.p.as_integer_ratio(), params.q.as_integer_ratio()
+    a, b, d = a * db, b * da, da * db
+    polys = ((d * (2 * a + b), (a + 2 * d) * b, (d - a) * b), (d * (2 * a + b), 2 * (a + b) * d - a * a, b * d))
+    return all(_sign_holds(poly, params.q, strict) for poly in polys[: 1 if n == 2 else 2])
 
 
 def _exact_nonneg(params: Params, n: int, c) -> bool:
     """Whether every lifted plane over a curvature-c space form has K >= 0: vertizontal planes do, vertical
     ones need P, Q >= 0, and the horizontal c - (3/4) c^2 f(t) needs c <= 4/(3 sup f).  Once P >= 0, sup f
     is 1/mu(p) for p >= 1 and inf for p < 1 (for q < 0, p + q < 1 gives P(-1/q) < 0)."""
-    c, p = as_fraction(c), as_fraction(params.p)
+    c, p = as_fraction(c), params.p
     return c >= 0 and (c == 0 or (p >= 1 and mu(p) >= 3 * c / 4)) and _exact_vertical(params, n, False)
 
 
@@ -647,8 +654,6 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
 
 # ---------------------------------------------------------------------------
 # scalar positivity interval
-
-
 
 
 def _upper_end_check(

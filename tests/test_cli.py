@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -374,6 +375,17 @@ class TestFindParamsCommand:
         code, out, err = run_cli(capsys, "find-params", "--nonneg-q", "--n", "3", "--c", "1e5")
         assert code == 2 and out == ""
         assert err.startswith("error: no starting p <= ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n, c, message", [
+        ("3", "-1e300", "error: the starting p for c < 0 passes 514 (n = 3, c = -1e+300)"),
+        ("3", "-1e5", "error: the starting p for c < 0 passes 514 (n = 3, c = -100000)"),
+        ("5", "-450", "error: G at p = 508, q = 128694 has coefficients past the float range"),
+    ], ids=["n3-c-1e300", "n3-c-1e5", "n5-c-450"])
+    def test_thm3_negative_c_past_the_float_range_exit_2(self, capsys, n, c, message):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "find-params", "--nonneg-q", "--n", n, f"--c={c}")
+        assert (code, out, err) == (2, "", message + "\n")
+        assert time.perf_counter() - start < 1.0
 
     def test_no_certified_candidate_exit_1(self, capsys, monkeypatch):
         def no_candidate(n, c):

@@ -155,6 +155,23 @@ class TestSectional:
             ]
             assert max(vals) > 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_per_row_vv_batch_matches_scalar_calls(self, n):
+        m = 12
+        p, q, c, e = per_row_points(n, m, np.random.default_rng(12))
+        X, Y = np.eye(n)[:2]
+        batch = sectional(Params(p, q), FiberPoint(e), "vv", X, Y, BaseCurvature.space_form(c))
+        assert batch.shape == (m,) and not e[0].any() and (q < 0).sum() >= m // 3
+        for i in range(m):
+            one = sectional(Params(p[i, 0], q[i, 0]), FiberPoint(e[i]), "vv", X, Y, BaseCurvature.space_form(c[i, 0]))
+            assert_allclose(batch[i], one, rtol=1e-12, err_msg=f"row {i}")
+
+    def test_per_row_vv_batch_names_the_row_outside_the_ball_bundle(self):
+        p, q, c, e = per_row_points(3, 6, np.random.default_rng(13))
+        q[4], e[4] = -1.0, [0.0, 1.0, 0.0]  # q t = -1
+        with pytest.raises(DomainError, match=r"row 4: q = -1\.0, t = 1\.0 outside the ball bundle"):
+            sectional(Params(p, q), FiberPoint(e), "vv", E1, E2, BaseCurvature.space_form(c))
+
 
 class TestRicci:
     def test_hv_space_form_zero(self):

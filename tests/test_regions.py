@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from cgm.curvature import BaseCurvature, FiberPoint, LiftVector, sectional_plane
-from cgm.scalars import Params, hyperbola_lambda, hyperbola_nu, mu, poly_G
+from cgm.scalars import Params, hyperbola_lambda, hyperbola_nu, mu, poly_G, poly_P, poly_Q
 from cgm.verify import DELTA_C, _exact_nonneg, _exact_vertical, _sign_holds, delta_grid_verdicts, suite_regions
 from cgm.regions import (
     THM3_K_MAX,
@@ -146,6 +146,34 @@ class TestExactDecisions:
         coeffs, q = tuple(map(Fraction, coeffs)), Fraction(q)
         assert _sign_holds(coeffs, q, True) is strict
         assert _sign_holds(coeffs, q, False) is nonstrict
+
+    @staticmethod
+    def _fraction_sign_holds(coefficients, q, strict):
+        """The reference: the sign rule on Fractions, with the vertex and the end T = -1/q as values."""
+        c0, c1, c2 = coefficients
+        holds = (lambda v: v > 0) if strict else (lambda v: v >= 0)
+        end = -1 / q if q < 0 else math.inf
+        vertex = -c1 / (2 * c2) if c2 > 0 else 0
+        if not holds(c0) or (0 < vertex < end and not holds(c0 + c1 * vertex / 2)):
+            return False
+        return c0 + (c1 + c2 * end) * end >= 0 if q < 0 else c2 > 0 or (c2 == 0 and c1 >= 0)
+
+    def test_integer_decisions_match_the_fraction_rule(self):
+        # dyadic p = k/8 with q on the region boundaries (rounded to floats) and 1/64 off them
+        points = []
+        for k in range(-80, 48):
+            p = k / 8
+            curves = [0.0, 1 - p, -2 * p] + [float(f(p)) for f, pole in ((hyperbola_lambda, -8), (hyperbola_nu, -2))
+                                             if p != pole]
+            points += [(p, q + dq) for q in curves for dq in (-1 / 64, 0.0, 1 / 64)]
+        assert len(points) == 1914
+        for p, q in points:
+            exact = Params(Fraction(p), Fraction(q))
+            polys = [poly(exact).coefficients for poly in (poly_P, poly_Q)]
+            for strict in (True, False):
+                p_holds, q_holds = (self._fraction_sign_holds(c, exact.q, strict) for c in polys)
+                for n in (2, 3, 4):
+                    assert _exact_vertical(Params(p, q), n, strict) is (p_holds and (n == 2 or q_holds)), (p, q, n)
 
     def test_denormal_q_nonneg_decision(self):
         # P = 4 + 4qt - qt^2 turns negative near t ~ 9e161, where A and B underflow
@@ -293,14 +321,18 @@ class TestScalarSufficient:
         assert classify(Params(p, q), 2, 1).scalar_condition == "e"
         assert scalar_grid_min(Params(p, q), 2, 1)[0] > 0
 
-    def test_no_window_where_the_float_formula_is_undefined(self):
-        # exact p > 1 with float(p) == 1: case (d)'s r divides by float(p) - 1 = 0
-        p = 1 + Fraction(1, 10**20)
-        q = hyperbola_nu(p) / 2
-        regions = {case: region for case, region, _ in sufficient_cases(p, q, 2)}
-        assert regions["d"] and not regions["e"]
-        for c in (-1, Fraction(1, 3), 1, 3):
-            assert scalar_pos_sufficient(Params(p, q), 2, c) is None
+    def test_case_d_window_where_float_p_is_1(self):
+        # exact p > 1 with float(p) == 1: case (d)'s float r divides by float(p) - 1 = 0, so r is taken on
+        # the exact p and q (about 4e-21 at p = 1 + 10^-20), and the window is |c - 2| < 2
+        for p in (1 + Fraction(1, 10**20), 1 + Fraction(1, 10**400)):
+            q = hyperbola_nu(p) / 2
+            windows = {case: window() for case, region, window in sufficient_cases(p, q, 2) if region}
+            assert windows == {"d": (2.0, 2.0)}
+            for c in (-1, 4):
+                assert scalar_pos_sufficient(Params(p, q), 2, c) is None
+            for c in (Fraction(1, 3), 1, 3):
+                assert scalar_pos_sufficient(Params(p, q), 2, c) == "d"
+                assert scalar_grid_min(Params(p, q), 2, c)[0] > 0
 
 
 class TestSearches:
@@ -360,6 +392,12 @@ class TestSearches:
         assert p0 == p_max
         with pytest.raises(ValueError, match=f"no starting p <= {p_max} "):
             next(_thm3_candidates(3, edge))
+
+    def test_thm3_bound_on_starting_p_for_negative_c(self):
+        # n = 3, c < 0: p0 = ceil(1 - 9c/8) is 514 = 2 + 2^9 at c = -456, the last start; 516 at c = -457 is refused
+        assert next(_thm3_candidates(3, -456))[2].startswith("started p=514,")
+        with pytest.raises(ValueError, match=re.escape("passes 514 (n = 3, c = -457)")):
+            next(_thm3_candidates(3, -457))
 
     def test_certificate_grid_text(self):
         # q >= 0: the shared log grid to 1e6; q < 0 (p = 46, q = -45): [0, T) with T = 1/45
@@ -483,6 +521,15 @@ class TestRadiusGrid:
     @pytest.mark.parametrize("q", list(SHA256))
     def test_grid_pinned(self, q):
         assert hashlib.sha256(_t_grid(Params(1, q)).tobytes()).hexdigest() == self.SHA256[q]
+
+    def test_bounded_grid_is_sorted_without_a_sort(self):
+        # the linear part and the clustered part meet at 0.999 T only, so their concatenation is np.unique's
+        for q in -np.logspace(-300, 300, 200):
+            tb = -1.0 / q
+            grid = _t_grid(Params(1, q))
+            parts = [np.linspace(0.0, tb * (1 - 1e-3), 5000), tb * (1.0 - np.geomspace(1e-6, 1e-3, 5000))]
+            assert grid.tobytes() == np.unique(np.concatenate(parts)).tobytes(), q
+            assert len(grid) == 9999 and (np.diff(grid) > 0).all()
 
     def test_unbounded_grid_is_shared_and_read_only(self):
         grid = _t_grid(Params(1, 0))
