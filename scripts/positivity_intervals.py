@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Tabulate the base-curvature interval with positive scalar curvature.
 
-For a selection of metric parameters, bisect the interval of space-form
+For a selection of metric parameters, print the interval of space-form
 curvatures c around 0 for which the scalar curvature of the lifted metric
-stays positive over the whole (ball) bundle; the printed ends are accurate to
-the bisection tolerance 1e-6.
+stays positive on the radius grid and, for q >= 0, in the limit of large
+radii.  Each end is read off in one pass over the grid, as a root of the
+scalar curvature, a quadratic in c at each radius; it is printed to 6 decimals.
 
 Usage: python scripts/positivity_intervals.py
 """

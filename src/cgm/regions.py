@@ -24,11 +24,11 @@ The scalar-curvature grids share one read-only radius grid for q >= 0; for
 q < 0 the grid joins two increasing parts, with no sort.
 :func:`scalar_grid_min` is the one evaluation of the scalar curvature on the
 certificate grid; :func:`scalar_positivity_interval` evaluates f and phi on
-its grid once per call (bit-identical ends).  The constructive searches return
-a :class:`SearchResult` whose certificate records that grid minimum (always
-positive), its overflow count when nonzero and, for the nonnegative-q route,
-the all-positive coefficient list of the sign polynomial G, the first of the
-candidates of one generator that has it.
+that grid once and takes its ends from their roots in c, in one pass.  The
+constructive searches return a :class:`SearchResult` whose certificate
+records that grid minimum (always positive), its overflow count when nonzero
+and, for the nonnegative-q route, the all-positive coefficient list of the
+sign polynomial G, the first of the candidates of one generator that has it.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .scalars import (
     poly_P,
     poly_Q,
     scalar_curvature_spaceform,
-    scalar_from_parts,
     scalar_parts,
     weights_AB,
 )
@@ -325,7 +324,6 @@ def column_values(predicate: str, p: float, q: np.ndarray, n: int, c: Optional[N
 # scalar curvature grids and tail analysis
 
 GRID_POINTS, GRID_CAP = 10000, 1e6  # the radius grid of scalar_grid_min and the certificates
-INTERVAL_TOL = 1e-6  # the accuracy of each end of scalar_positivity_interval below 2^33
 THM1_K_MAX = 2 ** 17  # find_params_thm1 searches p = 2 + k/10 for k <= THM1_K_MAX
 THM3_K_MAX = 2 ** 6  # find_params_thm3 starts at p = 2 + k, k <= THM3_K_MAX, for c > 0 and n >= 3
 THM3_NEG_K_MAX = 2 ** 9  # and at p <= 2 + THM3_NEG_K_MAX for c < 0: past p ~ 508 no G fits in floats
@@ -383,50 +381,51 @@ def _phi_limit(params: Params, n: int) -> float:
     return math.inf if lead > 0 else -math.inf
 
 
-def scalar_positivity_interval(params: Params, n: int) -> tuple[float, float]:
-    """Interval of base curvatures c around 0 with positive scalar curvature.
+def _sign_change_ends(n: int, f, phi):
+    """The roots lower <= upper in c of n c - (c^2/2) f + phi, f >= 0, which is positive between them:
+    -2 phi/(n + s) and (n + s)/f, s = sqrt(n^2 + 2 f phi), stable also where f = 0 (upper = inf).
+    Both are nan where the roots are complex: no c."""
+    s = np.sqrt(n * n + 2 * f * phi)
+    return 0.0 - 2 * phi / (n + s), (n + s) / f  # 0.0 - x, so phi = 0 gives 0.0 and not -0.0
 
-    Bisection around the seed c = 0 on the predicate "grid minimum positive,
-    tail limit (t -> infinity, q >= 0) nonnegative"; each end is the outermost c
-    at which it held, accurate to INTERVAL_TOL, or to the float spacing past
-    |c| = 2^33, where that spacing exceeds INTERVAL_TOL.  The ends can belong to
-    the set: for h_{1,1}, n = 2, the end c = 4 has G = 14 + 22t + 8t^2.  Returns (nan, nan)
-    when the seed fails.  f, phi and their limits are evaluated once, not per c.
-    Implemented for q >= 0 and for the bounded-range family p + q >= 1, q < 0.
+
+def _positivity_set(params: Params, n: int) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The base curvatures c with positive scalar curvature, as (grid, tail): the open interval of c
+    with S/(n - 1) = n c - (c^2/2) f + phi > 0 at every radius of :func:`_t_grid`, and the closed
+    interval of c where its limit as t -> infinity (q >= 0, f -> 0 for p > 1, 1 for p = 1) is >= 0.
+    A radius where phi overflows to +inf bounds nothing.  An empty interval has lo >= hi (grid) or
+    lo > hi (tail), or an end nan: a radius with complex roots, or with f or phi otherwise not finite."""
+    p, q = float(params.p), float(params.q)
+    f, phi_t = scalar_parts(params, n, _t_grid(params))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lower, upper = _sign_change_ends(n, f, phi_t)
+        bound = ~(np.isposinf(phi_t) & np.isfinite(f))
+        grid = (float(lower.max(initial=-math.inf, where=bound)), float(upper.min(initial=math.inf, where=bound)))
+        phi_inf = math.inf if q < 0 else _phi_limit(params, n)  # q < 0: no tail
+        if p < 1:  # the limit is -inf or nan at every c but 0
+            tail = (0.0, 0.0) if phi_inf >= 0 else (math.inf, -math.inf)
+        elif abs(phi_inf) == math.inf:
+            tail = (-math.inf, math.inf) if phi_inf > 0 else (math.inf, -math.inf)
+        else:
+            tail = tuple(map(float, _sign_change_ends(n, float(p == 1), phi_inf)))
+    return grid, tail
+
+
+def scalar_positivity_interval(params: Params, n: int) -> tuple[float, float]:
+    """Interval of base curvatures c around 0 with positive scalar curvature: the ends of
+    :func:`_positivity_set`, read off f and phi on the radius grid in one pass.
+
+    An end from the tail belongs to the set: for h_{1,1}, n = 2, the end c = 4 has
+    G = 14 + 22t + 8t^2.  One from the grid does not.  Returns (nan, nan) when c = 0 is outside
+    the set.  Implemented for q >= 0 and for the bounded-range family p + q >= 1, q < 0.
     """
     p, q = float(params.p), float(params.q)
     if q < 0 and p + q < 1:
         raise ValueError("interval search implemented for q >= 0 or p + q >= 1")
-    f, phi_t = scalar_parts(params, n, _t_grid(params))
-    f_inf = 0.0 if p > 1 else 1.0 if p == 1 else math.inf
-    phi_inf = math.nan if q < 0 else _phi_limit(params, n)
-
-    def pred(c: float) -> bool:
-        tail = q < 0 or scalar_from_parts(n, c, f_inf if c else 0.0, phi_inf) >= 0  # c^2 f -> 0 at c = 0
-        return float(scalar_from_parts(n, c, f, phi_t).min()) > 0 and tail
-
-    if not pred(0.0):
+    (lo, hi), (tail_lo, tail_hi) = _positivity_set(params, n)
+    if not (lo < 0 < hi and tail_lo <= 0 <= tail_hi):
         return (math.nan, math.nan)
-
-    def expand_and_bisect(sign: float) -> float:
-        lo, hi = 0.0, sign
-        for _ in range(60):
-            if not pred(hi):
-                break
-            lo, hi = hi, 2 * hi
-        else:
-            return sign * math.inf
-        while abs(hi - lo) > INTERVAL_TOL:
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):  # past 2^33 the float spacing exceeds INTERVAL_TOL
-                break
-            if pred(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    return (expand_and_bisect(-1.0), expand_and_bisect(1.0))
+    return (max(lo, tail_lo), min(hi, tail_hi))
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +588,7 @@ def find_params_thm1(n: int, c: Number) -> SearchResult:
         threshold = -cf / root
 
     hi = _least_above(lambda k: float(mu(2 + Fraction(k, 10))) > threshold, THM1_K_MAX,
-                      f"no p <= {2 + THM1_K_MAX / 10} on the grid has mu(p) > {threshold:.6g} (c = {c})")
+                      f"no p <= {2 + THM1_K_MAX / 10} on the grid has mu(p) > {threshold:.6g} (c = {cf:g})")
     pf = 2 + Fraction(hi, 10)
     p = float(pf)
     params = Params(p, 0.0) if n == 2 else Params(p, 1.0 - p)
@@ -660,7 +659,8 @@ def find_params_thm3(n: int, c: Number) -> SearchResult:
     if n < 2:
         raise ValueError("n >= 2 required")
     cx = as_fraction(c)
-    for rejections, (p, q, path) in enumerate(_thm3_candidates(n, float(cx))):
+    cf = float(cx)
+    for rejections, (p, q, path) in enumerate(_thm3_candidates(n, cf)):
         g = poly_G(Params(p, q), n, cx)
         if all(coef > 0 for coef in g.coefficients):
             try:
@@ -668,7 +668,7 @@ def find_params_thm3(n: int, c: Number) -> SearchResult:
             except OverflowError:
                 raise ValueError(f"G at p = {p}, q = {q} has coefficients past the float range") from None
             return _certified(Params(p, q), n, cx, {"G_coefficients": coefficients, "path": path.format(rejections)})
-    raise RuntimeError(f"coefficient search found no candidate with all G coefficients positive (n={n}, c={c})")
+    raise RuntimeError(f"coefficient search found no candidate with all G coefficients positive (n={n}, c={cf:g})")
 
 
 def find_params_general(n: int, a: Number, b: Number) -> tuple[float, SearchResult]:

@@ -318,12 +318,8 @@ def scalar_parts(params: Params, n: int, t: Radius) -> tuple[Radius, Radius]:
     return f_value(as_float(t), float(params.p)), phi(params, n, as_float(t))
 
 
-def scalar_from_parts(n: int, c: Number, f: Radius, phi_t: Radius) -> Radius:
-    """The scalar curvature over a curvature-c space form from the parts f, phi of :func:`scalar_parts`."""
-    c = float(c)
-    return (n - 1) * (n * c - 0.5 * c * c * f + phi_t)
-
-
 def scalar_curvature_spaceform(params: Params, n: int, c: Number, t: Radius) -> Radius:
     """Scalar curvature of h_{p,q} over a curvature-c space form at radius t (scalar or array)."""
-    return scalar_from_parts(n, c, *scalar_parts(params, n, t))
+    f, phi_t = scalar_parts(params, n, t)
+    c = float(c)
+    return (n - 1) * (n * c - 0.5 * c * c * f + phi_t)

@@ -655,6 +655,8 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # scalar positivity interval
 
+INTERVAL_END_TOL = 1e-9  # each end of scalar_positivity_interval against its exact value
+
 
 def _upper_end_check(
     name: str,
@@ -693,7 +695,7 @@ def suite_interval(seed: int = 0) -> list[CheckResult]:
     the intervals they claim.
     """
     out = []
-    tol = rg.INTERVAL_TOL  # each end of the bisection is accurate to this
+    tol = INTERVAL_END_TOL
     lo2, hi2 = rg.scalar_positivity_interval(Params(1, 1), 2)
     lo3, hi3 = rg.scalar_positivity_interval(Params(1, 1), 3)
     out.append(_check("interval_h11_n2_lower", abs(lo2), tol, f"c_lo={lo2:.2e}"))
@@ -710,7 +712,7 @@ def suite_interval(seed: int = 0) -> list[CheckResult]:
     out.append(
         _check_bool(
             "interval_h10_n2_contains_0_4",
-            lo10 <= 1e-5 and hi10 >= 4 - 1e-5,
+            lo10 <= tol and hi10 >= 4 - tol,
             f"interval ({lo10:.6f}, {hi10:.6f})",
         )
     )

@@ -22,7 +22,7 @@ from cgm.cli import (
     write_scan_csv,
     write_scan_svg,
 )
-from cgm import cli, verify
+from cgm import cli, regions, verify
 from cgm.regions import cell_value
 from cgm.verify import CheckResult
 
@@ -370,6 +370,16 @@ class TestFindParamsCommand:
         code, out, err = run_cli(capsys, "find-params", "--n", "3", "--c", "1e9")
         assert code == 2 and out == ""
         assert err.startswith("error: no p <= 13109.2") and err.count("\n") == 1
+
+    def test_c_past_the_float_range_of_mu_prints_c_short(self, capsys):
+        code, out, err = run_cli(capsys, "find-params", "--n", "2", "--c", "1e300")
+        assert (code, out, err) == (2, "", "error: no p <= 13109.2 on the grid has mu(p) > 1e+300 (c = 1e+300)\n")
+
+    def test_thm3_no_candidate_prints_c_short(self, capsys, monkeypatch):
+        monkeypatch.setattr(regions, "_thm3_candidates", lambda n, cf: iter(()))
+        code, out, err = run_cli(capsys, "find-params", "--nonneg-q", "--n", "2", "--c=-1e300")
+        assert (code, out) == (1, "")
+        assert err == "error: coefficient search found no candidate with all G coefficients positive (n=2, c=-1e+300)\n"
 
     def test_thm3_c_past_the_bound_on_p_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "find-params", "--nonneg-q", "--n", "3", "--c", "1e5")

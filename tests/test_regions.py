@@ -1,9 +1,11 @@
 import hashlib
+import importlib.util
 import json
 import math
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from cgm.verify import DELTA_C, _exact_nonneg, _exact_vertical, _sign_holds, del
 from cgm.regions import (
     THM3_K_MAX,
     _coeff_polys_in_q,
+    _phi_limit,
+    _positivity_set,
     _t_grid,
     _thm3_candidates,
     classify,
@@ -369,7 +373,7 @@ class TestSearches:
         assert res.certificate["path"].startswith(f"grid p=2.0+0.1k, {k} rejections,")
 
     def test_thm1_bound_on_p(self):
-        with pytest.raises(ValueError, match="c = 1000000000"):
+        with pytest.raises(ValueError, match=r"\(c = 1e\+09\)$"):
             find_params_thm1(3, 1e9)
 
     @pytest.mark.parametrize("c, named", [(1e300, "c = 1e+300"), (10**5, "c = 100000")])
@@ -445,17 +449,23 @@ class TestSearches:
             find_params_general(3, 0, -1)
 
 
+def _positivity_predicate(params, n, c):
+    """The set of :func:`scalar_positivity_interval` as a predicate on c: the scalar curvature's grid
+    minimum is positive, and for q >= 0 its limit as t -> infinity is nonnegative (here p >= 1)."""
+    p, q = float(params.p), float(params.q)
+    tail = q < 0 or n * c - 0.5 * c * c * (p == 1) + _phi_limit(params, n) >= 0
+    return scalar_grid_min(params, n, c)[0] > 0 and tail
+
+
 class TestInterval:
     def test_h11_surface(self):
         lo, hi = scalar_positivity_interval(Params(1, 1), 2)
-        assert abs(lo) <= 1e-6
-        assert_allclose(hi, 4.0, atol=1e-5)
+        assert abs(lo) <= 1e-9 and abs(hi - 4) <= 1e-9
 
     def test_h11_dimension3(self):
         lo, hi = scalar_positivity_interval(Params(1, 1), 3)
-        assert lo < 0
-        assert_allclose(lo, 3 - math.sqrt(11), atol=1e-5)
-        assert_allclose(hi, 3 + math.sqrt(11), atol=1e-5)
+        assert abs(lo - (3 - math.sqrt(11))) <= 1e-9
+        assert abs(hi - (3 + math.sqrt(11))) <= 1e-9
 
     def test_h10_contains_0_4(self):
         lo, hi = scalar_positivity_interval(Params(1, 0), 2)
@@ -469,36 +479,78 @@ class TestInterval:
         with pytest.raises(ValueError):
             scalar_positivity_interval(Params(1, -0.5), 3)
 
-    # float.hex of both ends for the cases of scripts/positivity_intervals.py, as evaluating the scalar
-    # curvature afresh at every bisection step gives them: sharing f and phi across steps keeps every bit
+    # float.hex of both ends for the cases of scripts/positivity_intervals.py
     ENDS = {
         (1, 1, 2): ("0x0.0p+0", "0x1.0000000000000p+2"),
-        (1, 1, 3): ("-0x1.4439400000000p-2", "0x1.9443940000000p+2"),
+        (1, 1, 3): ("-0x1.443949feb79a1p-2", "0x1.9443949feb79ap+2"),
         (1, 0, 2): ("0x0.0p+0", "0x1.0000000000000p+2"),
-        (1, 0, 3): ("-0x1.4439400000000p-2", "0x1.9443940000000p+2"),
-        (2, 0, 2): ("-0x1.a827980000000p+1", "0x1.3504f40000000p+4"),
-        (2, 0, 3): ("-0x1.bef7a80000000p+1", "0x1.b7def60000000p+4"),
+        (1, 0, 3): ("-0x1.443949feb79a1p-2", "0x1.9443949feb79ap+2"),
+        (2, 0, 2): ("-0x1.a82799d715583p+1", "0x1.3504f41eb0fafp+4"),
+        (2, 0, 3): ("-0x1.bef7ac80a733cp+1", "0x1.b7def6e5ca5e5p+4"),
         (1, 2, 2): ("0x0.0p+0", "0x1.0000000000000p+2"),
-        (1, 2, 3): ("-0x1.4439400000000p-2", "0x1.9443940000000p+2"),
+        (1, 2, 3): ("-0x1.443949feb79a1p-2", "0x1.9443949feb79ap+2"),
         (2, 1, 2): ("nan", "nan"),
-        (2, 1, 3): ("-0x1.e33b200000000p+0", "0x1.a64e8e0000000p+4"),
+        (2, 1, 3): ("-0x1.e33b2038f796ep+0", "0x1.a64e8e72fc061p+4"),
         (3, 2, 2): ("nan", "nan"),
-        (3, 2, 3): ("-0x1.0595ac0000000p+2", "0x1.697b0d0000000p+5"),
-        (2, -1, 2): ("-0x1.7fb2500000000p+1", "0x1.5c49040000000p+4"),
-        (2, -1, 3): ("-0x1.7ffff80000000p+1", "0x1.de9b5f0000000p+4"),
-        (3, -2, 2): ("-0x1.fffff80000000p+1", "0x1.2ea23f8000000p+5"),
-        (3, -2, 3): ("-0x1.fffff80000000p+1", "0x1.9c9a3e8000000p+5"),
+        (3, 2, 3): ("-0x1.0595ad24092d3p+2", "0x1.697b0d20adbc7p+5"),
+        (2, -1, 2): ("-0x1.7fb253245e320p+1", "0x1.5c4904c0896d6p+4"),
+        (2, -1, 3): ("-0x1.8000000000000p+1", "0x1.de9b5fa2bdd57p+4"),
+        (3, -2, 2): ("-0x1.0000000000000p+2", "0x1.2ea23fcb76d9ap+5"),
+        (3, -2, 3): ("-0x1.0000000000000p+2", "0x1.9c9a3eaee433ep+5"),
     }
 
     @pytest.mark.parametrize("p, q, n", list(ENDS))
     def test_ends_pinned(self, p, q, n):
         assert tuple(v.hex() for v in scalar_positivity_interval(Params(p, q), n)) == self.ENDS[p, q, n]
 
-    def test_ends_past_float_spacing_of_tol(self):
-        # past 2^33 the float spacing exceeds INTERVAL_TOL, so the bisection stops when the midpoint repeats an end
+    def test_ends_are_the_ends_of_the_predicate(self):
+        # 1e-9 relative inside each finite end the predicate holds, 1e-9 outside it fails
+        for p, q, n in self.ENDS:
+            lo, hi = scalar_positivity_interval(Params(p, q), n)
+            for end, inward in ((lo, 1), (hi, -1)):
+                if math.isnan(end):
+                    continue
+                delta = 1e-9 * max(1.0, abs(end))
+                assert _positivity_predicate(Params(p, q), n, end + inward * delta), (p, q, n, end)
+                assert not _positivity_predicate(Params(p, q), n, end - inward * delta), (p, q, n, end)
+
+    def test_set_without_zero(self):
+        # phi -> -2 at p = 2, q = 1, n = 2: the tail 2c - 2 >= 0 closes the set below at c = 1
+        (lo, hi), (tail_lo, tail_hi) = _positivity_set(Params(2, 1), 2)
+        assert (tail_lo, tail_hi) == (1.0, math.inf) and lo < 1.0
+        assert 17.70 < hi < 17.71
+        assert all(math.isnan(v) for v in scalar_positivity_interval(Params(2, 1), 2))
+        assert scalar_grid_min(Params(2, 1), 2, 1.01)[0] > 0 and scalar_grid_min(Params(2, 1), 2, 5)[0] > 0
+        assert scalar_grid_min(Params(2, 1), 2, 17.8)[0] < 0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_p_below_1_is_c_0_alone(self, n):
+        # f -> inf as t -> infinity: the tail keeps c = 0 alone, inside a grid interval around it
+        (lo, hi), tail = _positivity_set(Params(0.5, 1), n)
+        assert lo < 0 < hi and tail == (0.0, 0.0)
+        assert scalar_positivity_interval(Params(0.5, 1), n) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_flat_sasaki_reports_nan(self, n):
+        # phi = 0 at every radius: the grid's open interval starts at c = 0, which it leaves out
+        assert _positivity_set(Params(0, 0), n)[0][0] == 0.0
+        assert all(math.isnan(v) for v in scalar_positivity_interval(Params(0, 0), n))
+
+    def test_large_p_ends_are_finite(self):
+        # the lower end is -phi(0)/n at t = 0; the upper end is about 8.2e52
         with np.errstate(over="ignore"):  # (1 + t)^p overflows at p = 1e10
             lo, hi = scalar_positivity_interval(Params(1e10, 0), 2)
-        assert lo < 0 < hi
+        assert lo == -2e10 and 0 < hi < math.inf
+
+    def test_script_tabulates_the_pinned_cases(self, capsys):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "positivity_intervals.py"
+        spec = importlib.util.spec_from_file_location("positivity_intervals", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert [(p, q, n) for p, q in script.CASES for n in (2, 3)] == list(self.ENDS)
+        assert script.main() == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 16 and sum("not positive at c=0" in row for row in rows) == 2
 
     @pytest.mark.parametrize("q", [1e-170, 1e-200, 5e-324])
     def test_underflowing_q_keeps_the_leading_term_of_C(self, q):
