@@ -3,8 +3,8 @@
 
 For a selection of metric parameters, print the interval of space-form
 curvatures c around 0 for which the scalar curvature of the lifted metric
-stays positive on the radius grid and, for q >= 0, in the limit of large
-radii.  Each end is read off in one pass over the grid, as a root of the
+stays positive on the radius grid and in the limit at the end of the fibre
+(large radii for q >= 0, t -> -1/q for q < 0).  Each end is read off in one pass over the grid, as a root of the
 scalar curvature, a quadratic in c at each radius; it is printed to 6 decimals.
 
 Usage: python scripts/positivity_intervals.py
@@ -24,11 +24,7 @@ def main() -> int:
     print(f"{'p':>5} {'q':>5} {'n':>2} {'c_lo':>12} {'c_hi':>12}")
     for p, q in CASES:
         for n in (2, 3):
-            try:
-                lo, hi = scalar_positivity_interval(Params(p, q), n)
-            except ValueError:
-                print(f"{p:>5} {q:>5} {n:>2} {'outside supported family':>25}")
-                continue
+            lo, hi = scalar_positivity_interval(Params(p, q), n)
             if math.isnan(lo):
                 print(f"{p:>5} {q:>5} {n:>2} {'not positive at c=0':>25}")
                 continue

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import regions as rg
 from .regions import classify, find_params_thm1, find_params_thm3, radial_planes
-from .scalars import Params, as_exact, scalar_curvature_spaceform
+from .scalars import Params, as_exact, fibre_end, scalar_curvature_spaceform
 from .verify import SUITES, run_suites
 
 MAX_GRID_CELLS = 10_000_000
@@ -208,8 +208,11 @@ def cmd_curvature(args) -> int:
         if value < 0:
             print(f"error: {flag} must be >= 0", file=sys.stderr)
             return 2
+    if args.samples > MAX_GRID_CELLS:
+        print("error: --samples exceeds the 1e7 sample limit", file=sys.stderr)
+        return 2
     if not params.contains_t(t_max):
-        t_max = (1 - 1e-6) * (-1.0 / float(args.q))
+        t_max = (1 - 1e-6) * fibre_end(params)
         print(f"warning: t-max clipped to {t_max:.9g} (ball-bundle boundary)", file=sys.stderr)
     t = np.linspace(0.0, t_max, args.samples)
     fam = radial_planes(params, c, t)
@@ -262,6 +265,9 @@ def cmd_find_params(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return 2
     results = []
     for name in list(SUITES) if args.suite == "all" else [args.suite]:
         t0, k0 = time.perf_counter(), len(results)

@@ -20,12 +20,12 @@ The sampled minima :func:`vertical_curvature_minimum` and
 grid plus the sign probes of P and Q; they are diagnostics, and `verify`
 decides the region checks exactly instead.
 
-The scalar-curvature grids share one read-only radius grid for q >= 0; for
-q < 0 the grid joins two increasing parts, with no sort.
-:func:`scalar_grid_min` is the one evaluation of the scalar curvature on the
-certificate grid; :func:`scalar_positivity_interval` evaluates f and phi on
-that grid once and takes its ends from their roots in c, in one pass.  The
-constructive searches return a :class:`SearchResult` whose certificate
+The end of the fibre, T = :func:`cgm.scalars.fibre_end`, sets the radius grid:
+one shared read-only log grid for T = inf, mapped onto [0, T) for finite T.
+:func:`scalar_grid_min` is the one evaluation of the scalar curvature on that
+grid; :func:`scalar_positivity_interval` evaluates f and phi on it once and
+takes its ends from their roots in c, in one pass, with the limit of phi at T
+decided exactly, for every (p, q).  The constructive searches return a :class:`SearchResult` whose certificate
 records that grid minimum (always positive), its overflow count when nonzero
 and, for the nonnegative-q route, the all-positive coefficient list of the
 sign polynomial G, the first of the candidates of one generator that has it.
@@ -48,6 +48,7 @@ from .scalars import (
     as_exact,
     as_fraction,
     f_sup,
+    fibre_end,
     hyperbola_lambda,
     hyperbola_nu,
     mu,
@@ -331,29 +332,19 @@ THM3_NEG_K_MAX = 2 ** 9  # and at p <= 2 + THM3_NEG_K_MAX for c < 0: past p ~ 50
 
 _GRID_UNBOUNDED = np.concatenate([[0.0], np.geomspace(1e-8, GRID_CAP, GRID_POINTS - 1)])
 _GRID_UNBOUNDED.setflags(write=False)
-_NEAR_END = 1.0 - np.geomspace(1e-6, 1e-3, GRID_POINTS - GRID_POINTS // 2)
-_NEAR_END.setflags(write=False)
-_NEAR_END_UP = _NEAR_END[-2::-1]  # increasing, without 1 - 1e-3, the last point of the linear part
+_GRID_UNIT = (_GRID_UNBOUNDED / (1.0 + _GRID_UNBOUNDED))[1:]  # u = g/(1 + g) in (0, 1 - 1e-6]
+_GRID_UNIT.setflags(write=False)
 
 
 def _t_grid(params: Params) -> np.ndarray:
-    """Deterministic grid over the admissible fibre radii (log-spaced, with 0): one shared read-only
-    array for q >= 0; for q < 0 a linear part to 0.999 T, T = -1/q, then T times the read-only offsets
-    ``_NEAR_END`` = 1 - t/T, increasing parts that share only 0.999 T, so joined they are sorted."""
-    q = float(params.q)
-    if q >= 0:
+    """The radii [0, T), T = :func:`fibre_end`: for T = inf the shared read-only log grid g (0, then
+    1e-8 to 1e6); else the g below T u_1, then T u, u = g/(1 + g) > 0, two increasing parts joined
+    sorted: 10,000 radii for T <= 1 to 19,999 past T = 1e14, the last at 1 - t/T ~ 1e-6."""
+    tb = fibre_end(params)
+    if tb == math.inf:
         return _GRID_UNBOUNDED
-    tb = -1.0 / q
-    return np.concatenate([np.linspace(0.0, tb * (1 - 1e-3), GRID_POINTS // 2), tb * _NEAR_END_UP])
-
-
-def _t_grid_text(params: Params) -> str:
-    """The certificates' description of :func:`_t_grid` (its two q < 0 parts share the point 0.999 T)."""
-    q = float(params.q)
-    if q >= 0:
-        return f"{GRID_POINTS}-point log grid on the admissible radii (t <= 1e6)"
-    return (f"{GRID_POINTS - 1}-point grid on the admissible radii [0, T), T = -1/q = {-1.0 / q:g}, "
-            "linear then clustered toward T")
+    head = _GRID_UNBOUNDED[:np.searchsorted(_GRID_UNBOUNDED, tb * _GRID_UNIT[0])]
+    return np.concatenate([head, tb * _GRID_UNIT])
 
 
 def scalar_grid_min(params: Params, n: int, c: Number) -> tuple[float, int]:
@@ -364,9 +355,12 @@ def scalar_grid_min(params: Params, n: int, c: Number) -> tuple[float, int]:
 
 
 def _phi_limit(params: Params, n: int) -> float:
-    """Limit of phi(t) as t -> infinity (q >= 0), by the leading term of C over q^2, taken
-    exactly: in floats (n - 2) q^2 and q * q underflow to 0 for q below about 1e-162."""
+    """Limit of phi(t) at the end of the fibre, exactly.  q < 0: +inf for p + q >= 1, -inf below, as
+    C(T) = 2 P(T) = 2 (q - 1)(p + q - 1)/q and, where that is 0, C'(T) = 2 p (1 - p) < 0.  q >= 0: the
+    leading term of C over q^2 (in floats (n - 2) q^2 and q * q underflow below q ~ 1e-162)."""
     p, q = as_exact(params.p), as_exact(params.q)
+    if q < 0:
+        return math.inf if p + q >= 1 else -math.inf
     cpoly = poly_C(Params(p, q), n)
     d = cpoly.degree()
     lead = Fraction(cpoly.coefficients[d]) / (q * q if q > 0 else 1)
@@ -392,17 +386,18 @@ def _sign_change_ends(n: int, f, phi):
 def _positivity_set(params: Params, n: int) -> tuple[tuple[float, float], tuple[float, float]]:
     """The base curvatures c with positive scalar curvature, as (grid, tail): the open interval of c
     with S/(n - 1) = n c - (c^2/2) f + phi > 0 at every radius of :func:`_t_grid`, and the closed
-    interval of c where its limit as t -> infinity (q >= 0, f -> 0 for p > 1, 1 for p = 1) is >= 0.
-    A radius where phi overflows to +inf bounds nothing.  An empty interval has lo >= hi (grid) or
-    lo > hi (tail), or an end nan: a radius with complex roots, or with f or phi otherwise not finite."""
-    p, q = float(params.p), float(params.q)
-    f, phi_t = scalar_parts(params, n, _t_grid(params))
+    interval of c where its limit at the end of the fibre is >= 0, one rule for every q: phi tends to
+    :func:`_phi_limit`, f for q >= 0 to 0 (p > 1), 1 (p = 1) or inf (p < 1), for q < 0 to f(T) while
+    phi -> +-inf.  A radius where phi overflows to +inf bounds nothing.  An empty interval has lo >= hi
+    (grid) or lo > hi (tail), or an end nan: a radius with complex roots, or f or phi not finite."""
+    p = as_fraction(params.p)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f, phi_t = scalar_parts(params, n, _t_grid(params))
         lower, upper = _sign_change_ends(n, f, phi_t)
         bound = ~(np.isposinf(phi_t) & np.isfinite(f))
         grid = (float(lower.max(initial=-math.inf, where=bound)), float(upper.min(initial=math.inf, where=bound)))
-        phi_inf = math.inf if q < 0 else _phi_limit(params, n)  # q < 0: no tail
-        if p < 1:  # the limit is -inf or nan at every c but 0
+        phi_inf = _phi_limit(params, n)
+        if p < 1:  # the limit is -inf or nan at every c but 0 (for q < 0, phi_inf = -inf)
             tail = (0.0, 0.0) if phi_inf >= 0 else (math.inf, -math.inf)
         elif abs(phi_inf) == math.inf:
             tail = (-math.inf, math.inf) if phi_inf > 0 else (math.inf, -math.inf)
@@ -413,15 +408,12 @@ def _positivity_set(params: Params, n: int) -> tuple[tuple[float, float], tuple[
 
 def scalar_positivity_interval(params: Params, n: int) -> tuple[float, float]:
     """Interval of base curvatures c around 0 with positive scalar curvature: the ends of
-    :func:`_positivity_set`, read off f and phi on the radius grid in one pass.
+    :func:`_positivity_set`, read off f and phi on the radius grid in one pass, for every (p, q).
 
     An end from the tail belongs to the set: for h_{1,1}, n = 2, the end c = 4 has
     G = 14 + 22t + 8t^2.  One from the grid does not.  Returns (nan, nan) when c = 0 is outside
-    the set.  Implemented for q >= 0 and for the bounded-range family p + q >= 1, q < 0.
+    the set, as for q < 0 < 1 - p - q, where S -> -inf at the end of the fibre for every c.
     """
-    p, q = float(params.p), float(params.q)
-    if q < 0 and p + q < 1:
-        raise ValueError("interval search implemented for q >= 0 or p + q >= 1")
     (lo, hi), (tail_lo, tail_hi) = _positivity_set(params, n)
     if not (lo < 0 < hi and tail_lo <= 0 <= tail_hi):
         return (math.nan, math.nan)
@@ -477,10 +469,9 @@ def _quadratic_sign_probes(coeffs: tuple, t_hi: float) -> list:
 
 def _witness_radii(params: Params) -> np.ndarray:
     """The radii of the sampled minima: the certificate grid :func:`_t_grid`, the critical point
-    1/(p - 1) of f and one probe in every sign region of P and Q.  The fibre is unbounded for q >= 0,
-    so there the critical point and the probes are not clipped to the grid."""
-    p, q = float(params.p), float(params.q)
-    t_hi = math.inf if q >= 0 else -1.0 / q * (1 - 2e-9)
+    1/(p - 1) of f and one probe in every sign region of P and Q.  Where the fibre is unbounded
+    (T = inf) the critical point and the probes are not clipped to the grid."""
+    p, t_hi = float(params.p), fibre_end(params) * (1 - 2e-9)
     extra = [1.0 / (p - 1.0)] if p > 1 else []
     for poly in (poly_P(params), poly_Q(params)):
         extra += _quadratic_sign_probes(poly.as_floats(), t_hi)
@@ -543,7 +534,9 @@ def _certified(params: Params, n: int, c: Number, extra: dict) -> SearchResult:
     m, nonfinite = scalar_grid_min(params, n, c)
     if not m > 0:
         raise AssertionError(f"search postcondition violated: grid minimum {m} at {params}")
-    cert = {"min_scalar_on_grid": m, "grid": _t_grid_text(params)}
+    tb = fibre_end(params)
+    where = "(t <= 1e6)" if tb == math.inf else f"[0, T), T = -1/q = {tb:g}"
+    cert = {"min_scalar_on_grid": m, "grid": f"{len(_t_grid(params))}-point log grid on the admissible radii {where}"}
     if nonfinite:
         cert["nonfinite_on_grid"] = nonfinite
     cert.update(extra)

@@ -75,6 +75,12 @@ def as_float(x: Radius) -> Radius:
     return x if isinstance(x, np.ndarray) else float(x)
 
 
+def fibre_end(params: Params) -> float:
+    """The fibre radii end at T = -1/q: inf for float(q) >= 0 and where -1/q overflows (|q| < 5.6e-309)."""
+    q = float(params.q)
+    return -1.0 / q if q < 0 else math.inf
+
+
 def check_fiber_radius(params: Params, t: Radius) -> None:
     """Raise DomainError unless t >= 0 and q t > -1 + EPS_DOM, naming the first array row that fails."""
     q = as_float(params.q)
@@ -242,11 +248,11 @@ def poly_G(params: Params, n: int, c: Number) -> PolySpec:
 
 
 def mu(p: Number) -> Number:
-    """p^p / (p-1)^(p-1) for p >= 1, with mu(1) = 1; exact for integer p."""
+    """p^p / (p-1)^(p-1) for p >= 1, with mu(1) = 1; exact for integer p <= 2^14, a float otherwise."""
     if p < 1:
         raise DomainError("mu is defined for p >= 1")
     k = as_exact(p)
-    if isinstance(k, int):  # mu(1) = 1**1 / 0**0
+    if isinstance(k, int) and k <= 2**14:  # mu(1) = 1**1 / 0**0; an exact k^k at k = 10^5 takes seconds
         return Fraction(k**k, (k - 1) ** (k - 1))
     fp = float(p)
     try:
@@ -291,16 +297,15 @@ def f_sup(params: Params) -> float:
     unless that point lies past the open boundary -1/q (p + q < 1, q < 0),
     where the supremum is the limit at the boundary.
     """
-    p, q = float(params.p), float(params.q)
+    p, q, tb = float(params.p), float(params.q), fibre_end(params)
     if p <= 1:
-        if q >= 0 or -1.0 / q == math.inf:  # an unbounded fibre, or a denormal q whose -1/q overflows
+        if tb == math.inf:
             return 1.0 if p == 1 else math.inf
-        with np.errstate(over="ignore", divide="ignore"):  # f(-1/q) may exceed the float range for p < 0
-            return float(f_value(np.float64(-1.0 / q), p))
-    if q >= 0 or p + q >= 1:
+        with np.errstate(over="ignore", divide="ignore"):  # f(T) may exceed the float range for p < 0
+            return float(f_value(np.float64(tb), p))
+    if tb == math.inf or p + q >= 1:
         return 1.0 / float(mu(p))
-    # endpoint limit; clamp the radius so f stays evaluable for denormal q
-    return f_value(min(-1.0 / q, 1e15), p)
+    return f_value(tb, p)  # the limit at the end of the fibre
 
 
 def phi(params: Params, n: int, t: Radius) -> Radius:

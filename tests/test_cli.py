@@ -105,12 +105,16 @@ USAGE_ERRORS = [
     (("find-params", "--n", "3", "--c", "1e400"), "outside the float range"),
     (("curvature", "--p", "1", "--q", "1", "--n", "3", "--c", "1", "--samples=-1"), "--samples must be >= 0"),
     (("verify", "--tol-scale", "1"), "unrecognized arguments: --tol-scale"),
+    (("verify", "--seed=-1"), "--seed must be >= 0"),
+    # refused before any array is built, so this allocates nothing large
+    (("curvature", "--p", "1", "--q", "1", "--n", "3", "--c", "1", f"--samples={cli.MAX_GRID_CELLS + 1}"),
+     "--samples exceeds the 1e7 sample limit"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", USAGE_ERRORS,
                          ids=["zero_denominator", "zero_denominator_in_range", "past_float_range",
-                              "negative_samples", "removed_flag"])
+                              "negative_samples", "removed_flag", "negative_seed", "samples_past_the_limit"])
 def test_usage_errors_exit_2(argv, message, capsys):
     # argparse exits 2 from inside main; the other usage errors return 2
     try:
@@ -523,8 +527,8 @@ class TestByteIdentity:
         (("--nonneg-q", "--n", "3", "--c=-20"), "e4b4089bdf88b93a0fda738d54406b72ec7f6efb0a4f5762f1e61599e606efde"),
         (("--nonneg-q", "--n", "4", "--c=-7/3"), "b8cb7321c5cc4b39930b5025715b399ff676eb79e303d08a0a67a1b97a04daac"),
         (("--n", "2", "--c=16/3"), "d44968eb33f9002d3af76fe86b614d93128912971db400860d5c9b7a7b2447cc"),
-        # q = -45 < 0: the certificate's grid text describes the ball-bundle grid [0, 1/45)
-        (("--n", "5", "--c=-20"), "13dc64f111d8ac7c56d729479125d75a5eb597191618e76c4b3306f01987792c"),
+        # q = -45 < 0: the certificate's grid text describes the ball-bundle grid [0, 1/45), 10,000 radii
+        (("--n", "5", "--c=-20"), "707b913b410e979b86a1816ff743186b469adef49ba1e24df206357a9bd2bc5e"),
     ]
 
     @pytest.mark.parametrize("flags, digest", FIND_PARAMS, ids=["nonneg_n3", "nonneg_n4", "mu_n2", "mu_n5"])

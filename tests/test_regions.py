@@ -13,10 +13,13 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from cgm.curvature import BaseCurvature, FiberPoint, LiftVector, sectional_plane
-from cgm.scalars import Params, hyperbola_lambda, hyperbola_nu, mu, poly_G, poly_P, poly_Q
-from cgm.verify import DELTA_C, _exact_nonneg, _exact_vertical, _sign_holds, delta_grid_verdicts, suite_regions
+from cgm.scalars import DomainError, Params, hyperbola_lambda, hyperbola_nu, mu, poly_G, poly_P, poly_Q
+from cgm.verify import (
+    DELTA_C, _exact_nonneg, _exact_vertical, _oracle_record, _sign_holds, delta_grid_verdicts, suite_regions,
+)
 from cgm.regions import (
     THM3_K_MAX,
+    _GRID_UNBOUNDED,
     _coeff_polys_in_q,
     _phi_limit,
     _positivity_set,
@@ -410,8 +413,8 @@ class TestSearches:
         for res in (pos, neg):
             grid, text = _t_grid(res.params), res.certificate["grid"]
             assert int(text.split("-point")[0]) == len(grid)
-        assert float(neg.params.q) == -45 and "T = -1/q = 0.0222222," in text
-        assert grid[0] == 0 and grid[-1] < 1 / 45 and (1 / 45) * (1 - 1e-3) in grid
+        assert float(neg.params.q) == -45 and text.endswith("[0, T), T = -1/q = 0.0222222")
+        assert len(grid) == 10000 and grid[0] == 0 and grid[1] < 1e-8 and grid[-1] < 1 / 45
 
     def test_coeff_polys_in_q_match_hand_expansion(self):
         # the t^2 and t^1 coefficients of C = 2P + (n-2)(1+qt)Q, expanded by hand in q
@@ -476,8 +479,39 @@ class TestInterval:
         assert math.isnan(lo) and math.isnan(hi)
 
     def test_unsupported_family_rejected(self):
-        with pytest.raises(ValueError):
-            scalar_positivity_interval(Params(1, -0.5), 3)
+        # q < 0 < 1 - p - q is answered, not refused: phi -> -inf at T = -1/q for every c, as the
+        # oracle's scalar curvature at 0.99 T confirms
+        for p, q in ((1, -0.5), (0.5, -0.25), (1.5, -0.75), (0, -2)):
+            for n in (2, 3):
+                assert all(math.isnan(v) for v in scalar_positivity_interval(Params(p, q), n))
+                for c in (-1.0, 0.0, 1.0):
+                    s = _oracle_record(Params(p, q), n, c, 0.99 / -q).numeric
+                    assert -1.2e5 < s < -6e3, (p, q, n, c, s)
+
+    def test_ball_bundle_end_decided_by_p_plus_q(self):
+        # a seeded sample below the line p + q = 1 gives (nan, nan), and at its first four points the
+        # oracle's scalar curvature at 0.99 T is negative; on the line the end is +inf, exactly
+        rng = np.random.default_rng(3)
+        for k in range(50):
+            q = -rng.uniform(0.05, 3)
+            p = 1 - q - rng.uniform(0.05, 3)
+            for n in (2, 3):
+                assert all(math.isnan(v) for v in scalar_positivity_interval(Params(p, q), n)), (p, q, n)
+                for c in (-1.0, 0.0, 1.0) if k < 4 else ():
+                    assert _oracle_record(Params(p, q), n, c, 0.99 / -q).numeric < 0, (p, q, n, c)
+        line = Params(Fraction(19, 10), Fraction(-9, 10))  # float(p) + float(q) rounds below 1
+        assert _phi_limit(line, 2) == math.inf and _phi_limit(Params(2, -1 - 1e-12), 2) == -math.inf
+        lo, hi = scalar_positivity_interval(line, 2)
+        assert -2.881 < lo < -2.879 and 20.13 < hi < 20.14
+        assert all(math.isnan(v) for v in scalar_positivity_interval(Params(2, -1 - 1e-12), 2))
+
+    @pytest.mark.parametrize("q", [-1e-300, -1e-12, -1e-9, -1e-6])
+    def test_small_negative_q_meets_q_0(self, q):
+        # the q < 0 grid reaches down to 1e-8 whatever T is, so the ends tend to those of q = 0
+        ends, zero = scalar_positivity_interval(Params(2, q), 2), scalar_positivity_interval(Params(2, 0), 2)
+        assert zero == pytest.approx((-3.3137085, 19.3137094), abs=1e-7)
+        assert ends == pytest.approx(zero, abs=1e-4)
+        assert scalar_grid_min(Params(2, q), 2, 100)[0] < 0  # needs radii near t = 1 whatever T is
 
     # float.hex of both ends for the cases of scripts/positivity_intervals.py
     ENDS = {
@@ -493,10 +527,10 @@ class TestInterval:
         (2, 1, 3): ("-0x1.e33b2038f796ep+0", "0x1.a64e8e72fc061p+4"),
         (3, 2, 2): ("nan", "nan"),
         (3, 2, 3): ("-0x1.0595ad24092d3p+2", "0x1.697b0d20adbc7p+5"),
-        (2, -1, 2): ("-0x1.7fb253245e320p+1", "0x1.5c4904c0896d6p+4"),
-        (2, -1, 3): ("-0x1.8000000000000p+1", "0x1.de9b5fa2bdd57p+4"),
-        (3, -2, 2): ("-0x1.0000000000000p+2", "0x1.2ea23fcb76d9ap+5"),
-        (3, -2, 3): ("-0x1.0000000000000p+2", "0x1.9c9a3eaee433ep+5"),
+        (2, -1, 2): ("-0x1.7fb2531fd6c24p+1", "0x1.5c490555e7ad0p+4"),
+        (2, -1, 3): ("-0x1.8000000000000p+1", "0x1.de9b6049bb32ap+4"),
+        (3, -2, 2): ("-0x1.0000000000000p+2", "0x1.2ea244fbd2f8dp+5"),
+        (3, -2, 3): ("-0x1.0000000000000p+2", "0x1.9c9a3ec75dc07p+5"),
     }
 
     @pytest.mark.parametrize("p, q, n", list(ENDS))
@@ -565,9 +599,9 @@ class TestRadiusGrid:
     SHA256 = {
         0: "b148699cf44ad744d94b6742ccb901c8a57f7dbe9945862df1495c0d92c7b1e8",
         0.5: "b148699cf44ad744d94b6742ccb901c8a57f7dbe9945862df1495c0d92c7b1e8",
-        -0.5: "5eef3ab2767b4a6032fe06d4242962b9674db77feb6b7458587bb10ffba9a84d",
-        -2: "9a95d8bdf9532ac9f4418de55c076092f75d7e8325e89c0d9097b02a30cfec1d",
-        -1e-3: "a48390535a5c459ac2772fbd8beb3d997d6e87706759875590851cadddbe59aa",
+        -0.5: "ca6801d3e2ff1c6935892466534777f6ba37bc5b5d13963fb5355b29b76e49f9",
+        -2: "1471f26f07c5feec526d588485552c9926fe8a3d976f43f5be89dcf11719ecf0",
+        -1e-3: "54bc10f098439495d89571acb0ff373b28c65ad8a456c010a4eded425ee14914",
     }
 
     @pytest.mark.parametrize("q", list(SHA256))
@@ -575,19 +609,50 @@ class TestRadiusGrid:
         assert hashlib.sha256(_t_grid(Params(1, q)).tobytes()).hexdigest() == self.SHA256[q]
 
     def test_bounded_grid_is_sorted_without_a_sort(self):
-        # the linear part and the clustered part meet at 0.999 T only, so their concatenation is np.unique's
+        # the log grid g below T u_1, then T u with u = g/(1 + g): the parts do not overlap, so their
+        # concatenation is np.unique's; the first positive radius is at most 1e-8, the last has 1 + q t ~ 1e-6
+        g = np.concatenate([[0.0], np.geomspace(1e-8, 1e6, 9999)])
+        u = (g / (1 + g))[1:]
         for q in -np.logspace(-300, 300, 200):
             tb = -1.0 / q
             grid = _t_grid(Params(1, q))
-            parts = [np.linspace(0.0, tb * (1 - 1e-3), 5000), tb * (1.0 - np.geomspace(1e-6, 1e-3, 5000))]
-            assert grid.tobytes() == np.unique(np.concatenate(parts)).tobytes(), q
-            assert len(grid) == 9999 and (np.diff(grid) > 0).all()
+            assert grid.tobytes() == np.unique(np.concatenate([g[g < tb * u[0]], tb * u])).tobytes(), q
+            assert 10000 <= len(grid) <= 19999 and (np.diff(grid) > 0).all()
+            assert grid[1] <= 1e-8 and 1e-7 <= 1 + q * grid[-1] < 2e-6
+        assert len(_t_grid(Params(1, -1))) == 10000 and len(_t_grid(Params(1, -1e-14))) == 19998
+
+    @pytest.mark.parametrize("q", [-5e-324, -1e-310])
+    def test_denormal_negative_q_reads_the_unbounded_grid(self, q):
+        # -1/q overflows: T = inf, so the q >= 0 grid; nothing raises, and (2, q) has the (2, 0) interval
+        params = Params(2, q)
+        assert _t_grid(params) is _GRID_UNBOUNDED
+        for n in (2, 3):
+            assert scalar_positivity_interval(params, n) == scalar_positivity_interval(Params(2, 0), n)
+            with np.errstate(over="ignore", invalid="ignore"):  # the probes of Q reach t ~ 1e161
+                vertical_curvature_minimum(params, n), sectional_witness_min(params, n, 1)
+            assert scalar_grid_min(params, n, 1)[0] > 0
 
     def test_unbounded_grid_is_shared_and_read_only(self):
         grid = _t_grid(Params(1, 0))
         assert _t_grid(Params(3, 0.5)) is grid
         with pytest.raises(ValueError):
             grid[0] = 1.0
+
+
+@pytest.mark.parametrize("c", [-1, 0, 1])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("q", [-5e-324, -1e-310, -0.0, 0.0, 5e-324, 1e-310])
+@pytest.mark.parametrize("p", [-8, -2, 1, 2])
+def test_edge_table(p, q, n, c):
+    # the poles of lambda and nu, n = 2 against n >= 3, q = +-0 and denormal q of either sign:
+    # every decision and every sampled reading answers, and only the poles themselves raise
+    params = Params(p, q)
+    classify(params, n, c), vertical_positivity(params, n), nonneg_sectional(params, n, c)
+    scalar_pos_sufficient(params, n, c), scalar_grid_min(params, n, c), scalar_positivity_interval(params, n)
+    pole = {-8: hyperbola_lambda, -2: hyperbola_nu}.get(p)
+    if pole is not None:
+        with pytest.raises(DomainError):
+            pole(p)
 
 
 def test_delta_monotone_in_c_on_grid():
@@ -653,8 +718,9 @@ def test_classify_record_digest():
 def test_plane_family_minima_digest():
     # sha256 of repr of the vertical minimum and the lifted-plane witness
     # minimum at 200 seeded points (every fifth on q = 0, every seventh on
-    # p + q = 1), n = 2 and 3; recorded when both minima moved to one radius
-    # set, the certificate grid plus the critical point and sign probes
+    # p + q = 1), n = 2 and 3; recorded when the q < 0 certificate grid became
+    # the log grid mapped onto [0, T) (246 of the 800 values moved, by at most
+    # 2e-6 relative, none across 0)
     rng = np.random.default_rng(23)
     h = hashlib.sha256()
     for k in range(200):
@@ -664,7 +730,7 @@ def test_plane_family_minima_digest():
         for n in (2, 3):
             pair = (vertical_curvature_minimum(params, n), sectional_witness_min(params, n, c))
             h.update(f"{p!r},{q!r},{n},{pair!r}\n".encode())
-    assert h.hexdigest() == "24cc23d33b15932ddcba56df6ed289457a89a69f2e50393aa7b8cbb54815f952"
+    assert h.hexdigest() == "3c9a85c66817458738b963932033d6fbdb0d251a0a815d315391e496239f45f9"
 
 
 @pytest.mark.parametrize("p_axis, q_axis", [

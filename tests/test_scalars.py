@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,8 @@ from cgm.scalars import (
     scalar_curvature_spaceform,
     weights_AB,
 )
+
+from cgm.regions import classify, nonneg_sectional
 
 finite = st.floats(min_value=-6, max_value=6, allow_nan=False)
 radius = st.floats(min_value=0, max_value=4, allow_nan=False)
@@ -214,6 +217,17 @@ def test_hyperbola_exact_values():
         with pytest.raises(DomainError):
             hyperbola_nu(pole)
     assert hyperbola_nu(2.7) == 2.0 * (1.0 - 2.7) / (2.0 + 2.7)  # a float p keeps the float formula
+
+
+def test_mu_exact_up_to_2_14_then_float():
+    # an exact k^k past k = 2^14 would take seconds (mu(10**5)) or hang (p = 10**300 from a flag)
+    assert type(mu(2**14)) is Fraction and type(mu(2**14 + 1)) is float
+    assert math.e * 2**14 < mu(2**14 + 1) < math.e * (2**14 + 1)
+    for call in (lambda: mu(10**5), lambda: nonneg_sectional(Params(10**5, 0), 2, 1),
+                 lambda: classify(Params(10**300, 10**300), 3, 1)):
+        t0 = time.perf_counter()
+        call()
+        assert time.perf_counter() - t0 < 0.1
 
 
 def test_mu_float_path_past_overflow():
