@@ -174,9 +174,6 @@ def cmd_classify(args) -> int:
 
 def cmd_scan(args) -> int:
     spec = ScanSpec(args.p_range, args.q_range, args.n, args.c, args.predicate)
-    if spec.predicate in ("delta", "delta_prime", "scalar_sufficient") and spec.c is None:
-        print("error: this predicate needs --c", file=sys.stderr)
-        return 2
     t0 = time.perf_counter()
     try:
         cells, exact = _scan(spec)

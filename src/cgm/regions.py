@@ -9,11 +9,12 @@ with an epsilon), and the boundary curves lambda, nu are evaluated exactly.
 Two decisions are floats: the cut mu(p) >= 3c/4 for non-integer p, and the
 window test |c - k s| < k sqrt(1 + r) s of :func:`sufficient_cases`, the one
 rule set of the sufficient conditions for positive scalar curvature, where each
-case has its own r.  :func:`scan_column` runs the same rules on a column of
-exact p and float q.  There every comparison compares q with an exact
-threshold tau(p), and the correctly rounded float(tau) settles it unless
-q == float(tau): a tie, left to the per-cell rule, as are the sufficient
-cases' regions, whose windows depend on q.
+case has its own r.  Each scan predicate has one rule, which refuses a missing
+c: :func:`column_values` runs it on a column of exact p and float q, and
+:func:`cell_value` on one cell.  In a column every comparison compares q with
+an exact threshold tau(p), and the correctly rounded float(tau) settles it
+unless q == float(tau): a tie, left to the per-cell rule, as are the
+sufficient cases' regions, whose windows depend on q.
 
 The sampled minima :func:`vertical_curvature_minimum` and
 :func:`sectional_witness_min` evaluate the plane families on the certificate
@@ -270,52 +271,44 @@ def scalar_pos_sufficient(params: Params, n: int, c: Number) -> Optional[str]:
     return None
 
 
-def scan_column(predicate: str, p: Fraction, q: np.ndarray, n: int, c: Optional[Number] = None):
-    """``predicate`` on a scan column, exact p and float q: boolean arrays (inside, tie).
-
-    ``inside`` is the per-cell verdict on every cell outside ``tie``.  Delta
-    without c has no value, so all its cells are ties.
-    """
-    if n < 2:
-        raise ValueError("n >= 2 required")
-    col, outside = _Column(q), np.zeros(q.shape, dtype=bool)
-    if predicate in ("gamma", "gamma_prime", "vertical_positive"):
-        rule_n = {"gamma": 3, "gamma_prime": 2}.get(predicate, n)  # Gamma is the n >= 3 rule
-        return _vertical_positive(p, col, rule_n), col.tie
-    if predicate == "scalar_sufficient":
-        if c is None:
-            raise TypeError("scalar_sufficient needs the base curvature c, got None")
-        if as_fraction(c) == 0:
-            return _vertical_positive(p, col, n), col.tie
-        # every case region goes to the per-cell window test; col.tie is read once all have marked it
-        regions = [region for _, region, _ in sufficient_cases(p, col, n)]
-        return outside, functools.reduce(operator.or_, regions) | col.tie
-    if predicate not in ("delta", "delta_prime"):
-        raise ValueError(predicate)
-    if c is None or as_fraction(c) < 0:  # without c every cell is a tie (NaN), below 0 none is inside
-        return outside, ~outside if c is None else col.tie
-    return _delta_pair(p, col, as_fraction(c))[predicate == "delta_prime"], col.tie
-
-
 SCAN_PREDICATES = ("gamma", "gamma_prime", "delta", "delta_prime", "scalar_sufficient", "vertical_positive")
 
 
-def cell_value(predicate: str, p: float, q: float, n: int, c: Optional[Number] = None) -> float:
-    """The per-cell rule of a scan: 1.0 inside, 0.0 outside, NaN for Delta without c."""
+def _scan_rule(predicate: str, p: Fraction, q, n: int, c: Optional[Number]):
+    """The rule of a scan predicate at exact p and q exact or a _Column; None for scalar_sufficient at
+    c != 0, whose windows each cell tests.  A missing c is a ValueError for the three that need it."""
     if predicate not in SCAN_PREDICATES:
         raise ValueError(predicate)
-    if predicate == "vertical_positive":
-        return 1.0 if vertical_positivity(Params(p, q), n) else 0.0
+    if n < 2:
+        raise ValueError("n >= 2 required")
+    if predicate in ("gamma", "gamma_prime", "vertical_positive"):
+        return _vertical_positive(p, q, {"gamma": 3, "gamma_prime": 2}.get(predicate, n))  # Gamma: n >= 3
+    if c is None:
+        raise ValueError(f"{predicate} needs the base curvature c")
+    c = as_fraction(c)
     if predicate == "scalar_sufficient":
-        return 1.0 if scalar_pos_sufficient(Params(p, q), n, c) is not None else 0.0
-    v = getattr(classify(Params(p, q), n, c if predicate.startswith("delta") else None), "in_" + predicate)
-    return math.nan if v is None else (1.0 if v else 0.0)
+        return _vertical_positive(p, q, n) if c == 0 else None
+    return c >= 0 and _delta_pair(p, q, c)[predicate == "delta_prime"]  # below c = 0 no cell is inside
+
+
+def cell_value(predicate: str, p: float, q: float, n: int, c: Optional[Number] = None) -> float:
+    """The per-cell rule of a scan: 1.0 inside, 0.0 outside."""
+    inside = _scan_rule(predicate, as_fraction(p), as_fraction(q), n, c)
+    if inside is None:
+        inside = scalar_pos_sufficient(Params(p, q), n, c) is not None
+    return 1.0 if inside else 0.0
 
 
 def column_values(predicate: str, p: float, q: np.ndarray, n: int, c: Optional[Number]) -> tuple[list, int]:
-    """A scan column by :func:`scan_column`, its ties decided by :func:`cell_value`; and the tie count."""
-    inside, tie = scan_column(predicate, Fraction(p), q, n, c)
-    values, ties = [1.0 if v else 0.0 for v in inside.tolist()], np.flatnonzero(tie).tolist()
+    """A scan column by :func:`_scan_rule` on exact p and float q, its ties decided by :func:`cell_value`;
+    and the tie count.  For scalar_sufficient at c != 0 every case region's cell is a tie."""
+    px, col = Fraction(p), _Column(q)
+    inside = _scan_rule(predicate, px, col, n, c)
+    if inside is None:  # col.tie is read once every region has marked it
+        regions = functools.reduce(operator.or_, [region for _, region, _ in sufficient_cases(px, col, n)])
+        inside, col.tie = False, regions | col.tie
+    values = [1.0 if v else 0.0 for v in np.broadcast_to(inside, q.shape).tolist()]
+    ties = np.flatnonzero(col.tie).tolist()
     for j in ties:
         values[j] = cell_value(predicate, p, float(q[j]), n, c)
     return values, len(ties)
@@ -569,7 +562,7 @@ def find_params_thm1(n: int, c: Number) -> SearchResult:
     if n < 2:
         raise ValueError("n >= 2 required")
     cf = float(c)
-    if n == 2 and cf == 0:
+    if n == 2 and c == 0:
         params = Params(1, 0)
         return _certified(params, n, c, {"path": "c=0: any p>0 on q=0"})
     if cf > 0:
@@ -610,15 +603,19 @@ def _larger_root(quad: tuple) -> float:
     return (-c1 + math.sqrt(disc)) / (2 * c2)
 
 
-def _thm3_candidates(n: int, cf: float):
-    """The (p, q) that find_params_thm3 tries, in order, each with its path text ({} = rejections)."""
+def _thm3_candidates(n: int, c: Number):
+    """The (p, q) that find_params_thm3 tries, in order, each with its path text ({} = rejections).
+    A c that rounds to 0 tries the Cheeger-Gromoll point first; one that is not 0 goes on by its sign."""
+    cf = float(c)
     if cf == 0:
-        yield 1, 1, "c=0: Cheeger-Gromoll point"
-    elif n == 2:
+        yield 1, 1, "c=0: Cheeger-Gromoll point" if c == 0 else "c rounds to 0: Cheeger-Gromoll point"
+    if c == 0:
+        return
+    if n == 2:
         for p in range(2, 402):
             yield p, 0, f"q=0, integer p ascent: accepted p={p} ({{}} rejections)"
     else:
-        if cf > 0:
+        if c > 0:
             p0 = 2 + _least_above(lambda k: float(mu(2 + k)) > cf / (2 * n), THM3_K_MAX,
                                   f"no starting p <= {2 + THM3_K_MAX} has mu(p) > c/(2n) (n = {n}, c = {cf:g})")
         else:
@@ -653,7 +650,7 @@ def find_params_thm3(n: int, c: Number) -> SearchResult:
         raise ValueError("n >= 2 required")
     cx = as_fraction(c)
     cf = float(cx)
-    for rejections, (p, q, path) in enumerate(_thm3_candidates(n, cf)):
+    for rejections, (p, q, path) in enumerate(_thm3_candidates(n, cx)):
         g = poly_G(Params(p, q), n, cx)
         if all(coef > 0 for coef in g.coefficients):
             try:
@@ -671,6 +668,8 @@ def find_params_general(n: int, a: Number, b: Number) -> tuple[float, SearchResu
     squared curvature frame sum by b|e|^2; the comparison space form uses
     c_used = min(a / n(n-1), -sqrt(b / 2(n-1))) minus a safety margin.
     """
+    if n < 2:
+        raise ValueError("n >= 2 required")
     if b < 0:
         raise ValueError("b >= 0 required")
     base = min(float(a) / (n * (n - 1)), -math.sqrt(float(b) / (2 * (n - 1))))

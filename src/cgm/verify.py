@@ -28,6 +28,7 @@ from .scalars import (
     coefficients,
     f_sup,
     f_value,
+    fibre_end,
     hyperbola_lambda,
     hyperbola_nu,
     mu,
@@ -147,7 +148,7 @@ def suite_identities(seed: int = 0) -> list[CheckResult]:
         q = rng.uniform(-2, 3)
         params = Params(p, q)
         sup = f_sup(params)
-        cap = 1e3 if q >= 0 else -1 / q * (1 - 1e-9)
+        cap = 1e3 if q >= 0 else fibre_end(params) * (1 - 1e-9)
         grid_t = np.concatenate([[0.0], np.geomspace(1e-9, cap, 9_999)])
         gmax = float(f_value(grid_t, p).max())
         ok_upper &= gmax <= sup + 1e-12
@@ -194,7 +195,7 @@ def suite_identities(seed: int = 0) -> list[CheckResult]:
 def _random_point(rng, n, q) -> cv.FiberPoint:
     direction = rng.standard_normal(n)
     direction /= np.linalg.norm(direction)
-    cap = 3.0 if q >= 0 else -1 / q * 0.9
+    cap = 3.0 if q >= 0 else fibre_end(Params(0, q)) * 0.9
     t = rng.uniform(0, cap)
     return cv.FiberPoint(math.sqrt(t) * direction)
 
@@ -274,7 +275,7 @@ def suite_symmetries(seed: int = 0) -> list[CheckResult]:
     worst = 0.0
     for p in (1.5, 2.0, 3.0):
         params = Params(p, 1 - p)
-        tb = -1.0 / float(params.q)
+        tb = fibre_end(params)
         e = cv.FiberPoint.radial(tb - 1e-6, 3)
         k = cv.sectional(params, e, "vv", np.eye(3)[1], np.eye(3)[2], cv.BaseCurvature.space_form(0.0))
         worst = max(worst, abs(k - float(mu(p))) / float(mu(p)))
@@ -562,7 +563,7 @@ def oracle_matrix_cells() -> list:
     for n in (2, 3):
         for c in (-1.0, 0.0, 1.0):
             for p, q in ORACLE_PARAM_POINTS:
-                tmax = 1.0 if q >= 0 else -1.0 / q
+                tmax = 1.0 if q >= 0 else fibre_end(Params(p, q))
                 for t in (0.0, 0.25, 0.81 * tmax):
                     cells.append((Params(p, q), n, c, t))
     return cells

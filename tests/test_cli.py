@@ -1,15 +1,17 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
-import math
 import re
 import shutil
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cgm.cli import (
@@ -23,7 +25,8 @@ from cgm.cli import (
     write_scan_svg,
 )
 from cgm import cli, regions, verify
-from cgm.regions import cell_value
+from cgm.regions import cell_value, classify
+from cgm.scalars import Params
 from cgm.verify import CheckResult
 
 
@@ -154,11 +157,13 @@ class TestScanCommand:
         assert all(row.split(",")[3] == "0" for row in rows)
 
     def test_predicate_requires_c(self, tmp_path, capsys):
-        code, _, err = run_cli(
+        csv = tmp_path / "x.csv"
+        code, out, err = run_cli(
             capsys, "scan", "--p-range", "0:1:1", "--q-range", "0:1:1",
-            "--n", "3", "--predicate", "delta", "--csv", str(tmp_path / "x.csv"),
+            "--n", "3", "--predicate", "delta", "--csv", str(csv),
         )
-        assert code == 2 and "--c" in err
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+        assert "base curvature c" in err and not csv.exists()
 
     def test_byte_identical_to_per_cell_rule(self, tmp_path, capsys):
         # the CLI's column kernel against the per-cell rule, written by the same writers
@@ -283,14 +288,58 @@ class TestScanKernel:
             spec = ScanSpec((-9, 3, Fraction(1, 20)), (-3, 3, Fraction(1, 20)), n, c, "scalar_sufficient")
             assert _scan(spec)[1] == want
 
-    def test_delta_without_c_is_nan(self):
-        spec = ScanSpec((0, 2, 1), (-1, 1, 1), 3, None, "delta_prime")
-        assert all(math.isnan(v) for _, _, v in run_scan(spec))
-
-    def test_scalar_sufficient_without_c_names_c(self):
-        spec = ScanSpec((0, 2, Fraction(1, 2)), (-1, 1, Fraction(1, 2)), 3, None, "scalar_sufficient")
-        with pytest.raises(TypeError, match="base curvature c"):
+    @pytest.mark.parametrize("predicate", ["delta", "delta_prime", "scalar_sufficient"])
+    def test_missing_c_is_a_value_error(self, predicate):
+        # one refusal for the predicates that need c; classify still reports Delta as unknown
+        spec = ScanSpec((0, 2, Fraction(1, 2)), (-1, 1, Fraction(1, 2)), 3, None, predicate)
+        with pytest.raises(ValueError, match="base curvature c"):
             run_scan(spec)
+        with pytest.raises(ValueError, match="base curvature c"):
+            cell_value(predicate, 0.5, 0.5, 3)
+        verdict = classify(Params(0.5, 0.5), 3)
+        assert (verdict.in_delta, verdict.in_delta_prime, verdict.delta_reason) == (
+            None, None, "no base curvature supplied")
+
+    def test_tie_cells_match_classify_on_atlas_grid(self):
+        # classify is the reference for the per-cell rule on every tie cell of the atlas grid
+        spec = ScanSpec((-9, 3, Fraction(1, 20)), (-3, 3, Fraction(1, 20)), 3, None, "gamma")
+        q = np.array([float(v) for v in spec.axis("q")])
+        cases = [("gamma", 3, None), ("gamma_prime", 2, None)]
+        cases += [(predicate, 3, c) for c in (0, 1, Fraction(16, 3), 6) for predicate in ("delta", "delta_prime")]
+        for predicate, n, c in cases:
+            ties = 0
+            for p in [float(v) for v in spec.axis("p")]:
+                col = regions._Column(q)
+                regions._scan_rule(predicate, Fraction(p), col, n, c)
+                for qj in q[col.tie].tolist():
+                    want = getattr(classify(Params(p, qj), n, c), "in_" + predicate)
+                    assert cell_value(predicate, p, qj, n, c) == float(want), (predicate, n, c, p, qj)
+                    ties += 1
+            assert ties == (103 if c in (None, 0) else 74), (predicate, c)
+
+    ATLAS_LINES = (
+        "gamma_n3: 2190/29161 cells inside, 103 on the exact per-cell path\n"
+        "gamma_prime_n2: 3000/29161 cells inside, 103 on the exact per-cell path\n"
+        "delta_c0: 2221/29161 cells inside, 103 on the exact per-cell path\n"
+        "delta_c1: 101/29161 cells inside, 74 on the exact per-cell path\n"
+        "delta_c5.33333: 14/29161 cells inside, 74 on the exact per-cell path\n"
+        "delta_c6: 10/29161 cells inside, 74 on the exact per-cell path\n"
+        "scalar_sufficient_c4: 101/29161 cells inside, 101 on the exact per-cell path\n"
+        "vertical_positive_n2: 3000/29161 cells inside, 103 on the exact per-cell path\n"
+    )
+
+    def test_region_atlas_script(self, tmp_path, capsys, monkeypatch):
+        # scripts/region_atlas.py writes the eight rasters and prints their inside and tie counts
+        path = Path(__file__).resolve().parents[1] / "scripts" / "region_atlas.py"
+        loader = importlib.util.spec_from_file_location("region_atlas", path)
+        script = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(script)
+        monkeypatch.setattr(sys, "argv", [str(path), str(tmp_path / "atlas")])
+        assert script.main() == 0
+        assert capsys.readouterr().out == self.ATLAS_LINES
+        names = [line.split(":")[0] for line in self.ATLAS_LINES.splitlines()]
+        files = sorted(f.name for f in (tmp_path / "atlas").iterdir())
+        assert files == sorted(f"{name}.{ext}" for name in names for ext in ("csv", "svg"))
 
 
 class TestCurvatureCommand:
@@ -408,6 +457,21 @@ class TestFindParamsCommand:
         monkeypatch.setattr(cli, "find_params_thm3", no_candidate)
         code, out, err = run_cli(capsys, "find-params", "--n", "3", "--c", "700", "--nonneg-q")
         assert (code, out, err) == (1, "", "error: coefficient-positivity search found no candidate\n")
+
+    @pytest.mark.parametrize("flags, p, q, path", [
+        (("--n", "2", "--c=-1e-400"), 2.0, 0.0, "grid p=2.0+0.1k, 0 rejections, mu(p)=4 > 0"),
+        (("--n", "2", "--c=1e-400"), 2.0, 0.0, "grid p=2.0+0.1k, 0 rejections, mu(p)=4 > 0"),
+        (("--nonneg-q", "--n", "2", "--c=-1e-400"), 2.0, 0.0, "q=0, integer p ascent: accepted p=2 (1 rejections)"),
+        (("--n", "3", "--c=-1e-400"), 2.0, -1.0, "grid p=2.0+0.1k, 0 rejections, mu(p)=4 > 0"),
+        (("--nonneg-q", "--n", "3", "--c=-1e-400"), 1.0, 1.0, "c rounds to 0: Cheeger-Gromoll point"),
+    ], ids=["mu_n2_neg", "mu_n2_pos", "nonneg_n2_neg", "mu_n3_neg", "nonneg_n3_neg"])
+    def test_c_that_rounds_to_zero_is_not_zero(self, capsys, flags, p, q, path):
+        # float(c) == 0, but the searches decide c = 0 exactly: over (1, 0), n = 2, S tends to 2c - c^2/2 < 0
+        code, out, _ = run_cli(capsys, "find-params", *flags)
+        assert code == 0 and "c=0" not in out
+        payload = last_json(out)
+        assert (payload["p"], payload["q"], payload["path"]) == (p, q, path)
+        assert payload["min_scalar_on_grid"] > 0
 
     def test_nonneg_route(self, capsys):
         code, out, err = run_cli(capsys, "find-params", "--n", "3", "--c", "-1", "--nonneg-q")

@@ -451,6 +451,11 @@ class TestSearches:
         with pytest.raises(ValueError):
             find_params_general(3, 0, -1)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_general_route_needs_n_at_least_2(self, n):
+        with pytest.raises(ValueError, match="n >= 2 required"):
+            find_params_general(n, 0, 0)
+
 
 def _positivity_predicate(params, n, c):
     """The set of :func:`scalar_positivity_interval` as a predicate on c: the scalar curvature's grid

@@ -1,6 +1,9 @@
+import ast
 import math
+import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from cgm.scalars import (
     scalar_curvature_spaceform,
     weights_AB,
 )
+from cgm import scalars
 
 from cgm.regions import classify, nonneg_sectional
 
@@ -353,3 +357,16 @@ def test_domain_guard_excludes_boundary():
         coefficients(Params(2, -1), 1.0, 3)
     with pytest.raises(DomainError):
         scalar_curvature_spaceform(Params(2, -1), 3, 0, 1.0 + 1e-12)
+
+
+def test_fibre_end_is_the_only_minus_one_over_q():
+    # the end of the fibre T = -1/q is computed once in src/cgm, inside scalars.fibre_end
+    hits = []
+    for path in sorted(Path(scalars.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        hits += [(path.name, node.lineno) for node in ast.walk(tree)
+                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                 and ast.unparse(node.left) in ("-1", "-1.0") and re.search(r"\bq\b", ast.unparse(node.right))]
+        if path.name == "scalars.py":
+            end = next(f for f in tree.body if getattr(f, "name", "") == "fibre_end")
+    assert hits and all(name == "scalars.py" and end.lineno <= i <= end.end_lineno for name, i in hits), hits
