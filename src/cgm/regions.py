@@ -9,12 +9,11 @@ with an epsilon), and the boundary curves lambda, nu are evaluated exactly.
 Two decisions are floats: the cut mu(p) >= 3c/4 for non-integer p, and the
 window test |c - k s| < k sqrt(1 + r) s of :func:`sufficient_cases`, the one
 rule set of the sufficient conditions for positive scalar curvature, where each
-case has its own r.  Each scan predicate has one rule, which refuses a missing
-c: :func:`column_values` runs it on a column of exact p and float q, and
-:func:`cell_value` on one cell.  In a column every comparison compares q with
-an exact threshold tau(p), and the correctly rounded float(tau) settles it
-unless q == float(tau): a tie, left to the per-cell rule, as are the
-sufficient cases' regions, whose windows depend on q.
+case has its own r.  :func:`column_values` runs the same rules on a column of
+exact p and float q.  There every comparison compares q with an exact
+threshold tau(p), and the correctly rounded float(tau) settles it unless
+q == float(tau): a tie, left to the per-cell rule :func:`cell_value`, as are
+the sufficient cases' regions, whose windows depend on q.
 
 The sampled minima :func:`vertical_curvature_minimum` and
 :func:`sectional_witness_min` evaluate the plane families on the certificate
@@ -274,37 +273,39 @@ def scalar_pos_sufficient(params: Params, n: int, c: Number) -> Optional[str]:
 SCAN_PREDICATES = ("gamma", "gamma_prime", "delta", "delta_prime", "scalar_sufficient", "vertical_positive")
 
 
-def _scan_rule(predicate: str, p: Fraction, q, n: int, c: Optional[Number]):
-    """The rule of a scan predicate at exact p and q exact or a _Column; None for scalar_sufficient at
-    c != 0, whose windows each cell tests.  A missing c is a ValueError for the three that need it."""
+def _scan_c(predicate: str, n: int, c: Optional[Number]) -> Optional[Fraction]:
+    """A scan's c, exact, or None for the predicates that read none; a missing c is one ValueError."""
     if predicate not in SCAN_PREDICATES:
         raise ValueError(predicate)
     if n < 2:
         raise ValueError("n >= 2 required")
     if predicate in ("gamma", "gamma_prime", "vertical_positive"):
-        return _vertical_positive(p, q, {"gamma": 3, "gamma_prime": 2}.get(predicate, n))  # Gamma: n >= 3
+        return None
     if c is None:
         raise ValueError(f"{predicate} needs the base curvature c")
-    c = as_fraction(c)
-    if predicate == "scalar_sufficient":
-        return _vertical_positive(p, q, n) if c == 0 else None
-    return c >= 0 and _delta_pair(p, q, c)[predicate == "delta_prime"]  # below c = 0 no cell is inside
+    return as_fraction(c)
 
 
 def cell_value(predicate: str, p: float, q: float, n: int, c: Optional[Number] = None) -> float:
-    """The per-cell rule of a scan: 1.0 inside, 0.0 outside."""
-    inside = _scan_rule(predicate, as_fraction(p), as_fraction(q), n, c)
-    if inside is None:
-        inside = scalar_pos_sufficient(Params(p, q), n, c) is not None
-    return 1.0 if inside else 0.0
+    """The per-cell rule of a scan, 1.0 inside and 0.0 outside: the predicate's field of :func:`classify`,
+    or :func:`vertical_positivity` and :func:`scalar_pos_sufficient` for the two it does not report."""
+    c, params = _scan_c(predicate, n, c), Params(p, q)
+    if predicate == "vertical_positive":
+        return 1.0 if vertical_positivity(params, n) else 0.0
+    if predicate == "scalar_sufficient":
+        return 1.0 if scalar_pos_sufficient(params, n, c) is not None else 0.0
+    return 1.0 if getattr(classify(params, n, c), "in_" + predicate) else 0.0
 
 
 def column_values(predicate: str, p: float, q: np.ndarray, n: int, c: Optional[Number]) -> tuple[list, int]:
-    """A scan column by :func:`_scan_rule` on exact p and float q, its ties decided by :func:`cell_value`;
-    and the tie count.  For scalar_sufficient at c != 0 every case region's cell is a tie."""
-    px, col = Fraction(p), _Column(q)
-    inside = _scan_rule(predicate, px, col, n, c)
-    if inside is None:  # col.tie is read once every region has marked it
+    """A scan column, exact p and float q, by the predicate's rule on a _Column, its ties and, for
+    scalar_sufficient at c != 0, its case regions decided by :func:`cell_value`; and the tie count."""
+    c, px, col = _scan_c(predicate, n, c), Fraction(p), _Column(q)
+    if c is None or (predicate == "scalar_sufficient" and c == 0):
+        inside = _vertical_positive(px, col, {"gamma": 3, "gamma_prime": 2}.get(predicate, n))  # Gamma: n >= 3
+    elif predicate != "scalar_sufficient":
+        inside = c >= 0 and _delta_pair(px, col, c)[predicate == "delta_prime"]  # below c = 0 none is inside
+    else:  # col.tie is read once every region has marked it
         regions = functools.reduce(operator.or_, [region for _, region, _ in sufficient_cases(px, col, n)])
         inside, col.tie = False, regions | col.tie
     values = [1.0 if v else 0.0 for v in np.broadcast_to(inside, q.shape).tolist()]

@@ -195,7 +195,7 @@ def suite_identities(seed: int = 0) -> list[CheckResult]:
 def _random_point(rng, n, q) -> cv.FiberPoint:
     direction = rng.standard_normal(n)
     direction /= np.linalg.norm(direction)
-    cap = 3.0 if q >= 0 else fibre_end(Params(0, q)) * 0.9
+    cap = 3.0 if q >= 0 else fibre_end(Params(0, q)) * 0.9  # fibre_end reads only q
     t = rng.uniform(0, cap)
     return cv.FiberPoint(math.sqrt(t) * direction)
 
