@@ -5,7 +5,9 @@ testable without floating fuzz.  Scans evaluate at the float value of each
 grid node, which is exactly what the CSV records, so re-parsing a CSV row and
 re-evaluating reproduces the stored value bit-for-bit.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 verification failure or no certified candidate, 2 usage error, 3 I/O error.
+Subcommands raise and :func:`main` alone turns the outcome into the code: a ValueError (DomainError
+included) is a usage error, a RuntimeError a search without a certified candidate, an OSError I/O.
 """
 
 from __future__ import annotations
@@ -160,9 +162,11 @@ def cmd_classify(args) -> int:
     payload["p"], payload["q"], payload["n"] = float(args.p), float(args.q), args.n
     if args.c is not None:
         payload["c"] = float(args.c)
-        payload["scalar_at_zero"] = float(
-            args.n * (args.n - 1) * (Fraction(args.c) + 2 * Fraction(args.p) + Fraction(args.q))
-        )
+        exact = args.n * (args.n - 1) * (Fraction(args.c) + 2 * Fraction(args.p) + Fraction(args.q))
+        try:
+            payload["scalar_at_zero"] = float(exact)
+        except OverflowError:  # past the float range, where the sign is still exact
+            payload["scalar_at_zero"] = math.inf if exact > 0 else -math.inf
     for key in ("in_gamma", "in_gamma_prime", "in_omega", "in_delta", "in_delta_prime",
                 "gamma_component", "scalar_condition"):
         print(f"{key} = {payload[key]}")
@@ -175,21 +179,13 @@ def cmd_classify(args) -> int:
 def cmd_scan(args) -> int:
     spec = ScanSpec(args.p_range, args.q_range, args.n, args.c, args.predicate)
     t0 = time.perf_counter()
-    try:
-        cells, exact = _scan(spec)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cells, exact = _scan(spec)
     t1 = time.perf_counter()
-    try:
-        write_scan_csv(args.csv, spec, cells)
-        t2 = t3 = time.perf_counter()
-        if args.svg:
-            write_scan_svg(args.svg, spec, cells)
-            t3 = time.perf_counter()
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 3
+    write_scan_csv(args.csv, spec, cells)
+    t2 = t3 = time.perf_counter()
+    if args.svg:
+        write_scan_svg(args.svg, spec, cells)
+        t3 = time.perf_counter()
     print(f"scan: {len(cells)} cells, {exact} on the exact per-cell path", file=sys.stderr)
     svg_s = f", svg {t3 - t2:.3f} s" if args.svg else ""
     print(f"scan: columns with ties {t1 - t0:.3f} s, csv {t2 - t1:.3f} s{svg_s}", file=sys.stderr)
@@ -203,11 +199,9 @@ def cmd_curvature(args) -> int:
     t_max = float(args.t_max)
     for flag, value in (("--t-max", t_max), ("--samples", args.samples)):
         if value < 0:
-            print(f"error: {flag} must be >= 0", file=sys.stderr)
-            return 2
+            raise ValueError(f"{flag} must be >= 0")
     if args.samples > MAX_GRID_CELLS:
-        print("error: --samples exceeds the 1e7 sample limit", file=sys.stderr)
-        return 2
+        raise ValueError("--samples exceeds the 1e7 sample limit")
     if not params.contains_t(t_max):
         t_max = (1 - 1e-6) * fibre_end(params)
         print(f"warning: t-max clipped to {t_max:.9g} (ball-bundle boundary)", file=sys.stderr)
@@ -221,12 +215,8 @@ def cmd_curvature(args) -> int:
         lines.append(",".join(_fmt(v) for v in row))
     text = "\n".join(lines) + "\n"
     if args.csv:
-        try:
-            with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"I/O error: {exc}", file=sys.stderr)
-            return 3
+        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -234,16 +224,10 @@ def cmd_curvature(args) -> int:
 
 def cmd_find_params(args) -> int:
     t0 = time.perf_counter()
-    try:
-        if args.nonneg_q:
-            result = find_params_thm3(args.n, args.c)
-            route = "nonnegative-q coefficient search"
-        else:
-            result = find_params_thm1(args.n, args.c)
-            route = "minimal-mu grid search"
-    except (ValueError, RuntimeError) as exc:  # c past a search's bound on p (exit 2), or no certified candidate (1)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ValueError) else 1
+    if args.nonneg_q:
+        result, route = find_params_thm3(args.n, args.c), "nonnegative-q coefficient search"
+    else:
+        result, route = find_params_thm1(args.n, args.c), "minimal-mu grid search"
     search_s = time.perf_counter() - t0 - result.certificate_s
     print(f"find-params: {route}, search {search_s:.3f} s, certificate {result.certificate_s:.3f} s", file=sys.stderr)
     p, q = float(result.params.p), float(result.params.q)
@@ -263,8 +247,7 @@ def cmd_find_params(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.seed < 0:
-        print("error: --seed must be >= 0", file=sys.stderr)
-        return 2
+        raise ValueError("--seed must be >= 0")
     results = []
     for name in list(SUITES) if args.suite == "all" else [args.suite]:
         t0, k0 = time.perf_counter(), len(results)
@@ -323,11 +306,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code; argparse exits 2 itself on a malformed flag."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "n", 2) < 2:
-        print("error: n >= 2 required", file=sys.stderr)
-        return 2
-    return args.func(args)
+    try:
+        if getattr(args, "n", 2) < 2:
+            raise ValueError("n >= 2 required")
+        return args.func(args)
+    except (ValueError, RuntimeError) as exc:  # a usage error (2), or no certified candidate (1)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ValueError) else 1
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -63,7 +63,11 @@ class Params:
 
     def __post_init__(self):
         for v in (self.p, self.q):
-            if not (np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(float(v))):
+            try:
+                finite = np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(float(v))
+            except OverflowError:  # an int or Fraction past the float range
+                finite = False
+            if not finite:
                 raise ValueError("parameters must be finite")
 
     def contains_t(self, t: Number) -> bool:
@@ -198,16 +202,19 @@ def _binomial_row(k: int) -> list:
     return [math.comb(k, i) for i in range(k + 1)]
 
 
+def pq_coefficients(a, b, d=1) -> tuple:
+    """Ascending coefficients of d^2 P and d^2 Q at p = a/d, q = b/d: integral for integral a, b, d."""
+    return (d * (2 * a + b), (a + 2 * d) * b, (d - a) * b), (d * (2 * a + b), 2 * (a + b) * d - a * a, b * d)
+
+
 def poly_P(params: Params) -> PolySpec:
     """Sign polynomial of vertical planes containing the canonical vector."""
-    p, q = params.p, params.q
-    return PolySpec((2 * p + q, (p + 2) * q, (1 - p) * q))
+    return PolySpec(pq_coefficients(params.p, params.q)[0])
 
 
 def poly_Q(params: Params) -> PolySpec:
     """Sign polynomial of vertical planes orthogonal to the fibre point."""
-    p, q = params.p, params.q
-    return PolySpec((2 * p + q, 2 * p + 2 * q - p * p, q))
+    return PolySpec(pq_coefficients(params.p, params.q)[1])
 
 
 def poly_C(params: Params, n: int) -> PolySpec:
@@ -311,7 +318,7 @@ def f_sup(params: Params) -> float:
 def phi(params: Params, n: int, t: Radius) -> Radius:
     """(1+t)^(p-2) (1+qt)^(-2) C(t), the fibre contribution to the scalar curvature."""
     p, q = float(params.p), float(params.q)
-    cpoly = poly_C(params, n)
+    cpoly = poly_C(Params(p, q), n)  # on the floats, so exact and float inputs of equal value agree
     return (1.0 + t) ** (p - 2) * (1.0 + q * t) ** (-2) * cpoly.evaluate(t)
 
 

@@ -38,6 +38,7 @@ from .scalars import (
     poly_G,
     poly_P,
     poly_Q,
+    pq_coefficients,
     scalar_curvature_spaceform,
 )
 
@@ -192,10 +193,10 @@ def suite_identities(seed: int = 0) -> list[CheckResult]:
 # curvature symmetries
 
 
-def _random_point(rng, n, q) -> cv.FiberPoint:
+def _random_point(rng, n, params: Params) -> cv.FiberPoint:
     direction = rng.standard_normal(n)
     direction /= np.linalg.norm(direction)
-    cap = 3.0 if q >= 0 else fibre_end(Params(0, q)) * 0.9  # fibre_end reads only q
+    cap = 3.0 if params.q >= 0 else fibre_end(params) * 0.9
     t = rng.uniform(0, cap)
     return cv.FiberPoint(math.sqrt(t) * direction)
 
@@ -216,7 +217,7 @@ def suite_symmetries(seed: int = 0) -> list[CheckResult]:
     for _ in range(1000):
         n = int(rng.integers(2, 4))
         p, q, c = rng.uniform(-3, 4), rng.uniform(-2, 3), rng.uniform(-2, 2)
-        e = _random_point(rng, n, q).e
+        e = _random_point(rng, n, Params(p, q)).e
         rows[n].append((p, q, c, e, *(rng.standard_normal(n) for _ in range(8))))
     worst_anti = worst_pair = worst_bianchi = 0.0
     for group in rows.values():
@@ -243,7 +244,7 @@ def suite_symmetries(seed: int = 0) -> list[CheckResult]:
     for _ in range(200):
         n = int(rng.integers(2, 5))
         p, q, c = rng.uniform(-3, 4), rng.uniform(-2, 3), rng.uniform(-2, 2)
-        e = _random_point(rng, n, q).e
+        e = _random_point(rng, n, Params(p, q)).e
         if 1 + q * (e[0] ** 2 + e[1] ** 2) > 1e-3:
             rows[n].append((p, q, c, e))
     for n, group in rows.items():
@@ -254,12 +255,12 @@ def suite_symmetries(seed: int = 0) -> list[CheckResult]:
     out.append(_check("metric_compatibility_vv", worst, 1e-10))
 
     # flat fibres characterize the Sasaki point
-    base0 = cv.BaseCurvature.space_form(0.0)
+    base0, sasaki = cv.BaseCurvature.space_form(0.0), Params(0, 0)
     points = {2: [], 3: []}
     for _ in range(1000):
         n = int(rng.integers(2, 4))
-        points[n].append(_random_point(rng, n, 0.0).e)
-    worst = max(np.abs(cv.sectional(Params(0, 0), cv.FiberPoint(np.array(es)), "vv", *np.eye(n)[:2], base0)).max()
+        points[n].append(_random_point(rng, n, sasaki).e)
+    worst = max(np.abs(cv.sectional(sasaki, cv.FiberPoint(np.array(es)), "vv", *np.eye(n)[:2], base0)).max()
                 for n, es in points.items())
     out.append(_check("sasaki_flat_fibres", worst, 1e-13))
     nonflat = True
@@ -267,8 +268,9 @@ def suite_symmetries(seed: int = 0) -> list[CheckResult]:
         p, q = rng.uniform(-3, 4), rng.uniform(-2, 3)
         if abs(p) + abs(q) < 1e-3:
             continue
-        e = cv.FiberPoint(np.array([_random_point(rng, 3, q).e for _ in range(50)]))
-        nonflat &= bool(np.abs(cv.sectional(Params(p, q), e, "vv", *np.eye(3)[:2], base0)).max() > 1e-12)
+        params = Params(p, q)
+        e = cv.FiberPoint(np.array([_random_point(rng, 3, params).e for _ in range(50)]))
+        nonflat &= bool(np.abs(cv.sectional(params, e, "vv", *np.eye(3)[:2], base0)).max() > 1e-12)
     out.append(_check_bool("non_sasaki_curved_fibres", nonflat))
 
     # bounded vertical curvature at the boundary for p + q = 1
@@ -287,7 +289,7 @@ def suite_symmetries(seed: int = 0) -> list[CheckResult]:
         n = int(rng.integers(2, 4))
         params = Params(rng.uniform(-2, 3), rng.uniform(-1.5, 2))
         base = cv.BaseCurvature.space_form(rng.uniform(-2, 2))
-        e = _random_point(rng, n, float(params.q))
+        e = _random_point(rng, n, params)
         frame = cv.tangent_frame(params, e)
         V = frame[n]  # first vertical frame vector
         rhos[n].append(cv.ricci(params, n, e, "vv", V.v, V.v, base) / cv.metric_h(params, e, V, V))
@@ -305,7 +307,7 @@ def suite_symmetries(seed: int = 0) -> list[CheckResult]:
         n = int(rng.integers(2, 4))
         params = Params(rng.uniform(-2, 3), rng.uniform(-1.5, 2))
         base = cv.BaseCurvature.space_form(rng.uniform(-2, 2))
-        e = _random_point(rng, n, float(params.q))
+        e = _random_point(rng, n, params)
         trace = sum(
             cv.ricci(params, n, e, "hh", F.h, F.h, base)
             if F.h.any()
@@ -374,10 +376,9 @@ def _exact_vertical(params: Params, n: int, strict: bool = True) -> bool:
     """Whether every vertical plane has K > 0 (K >= 0 unless strict), from the signs of P and (n >= 3) Q:
     at radius t the planes lie between (1+t)^p (A t + B)/(1 + q t) and (1+t)^p B
     (:func:`regions.vertical_curvature_minimum`), and A t + B = w^2 w_q P(t), B = w^2 w_q Q(t).  With
-    p = a/d and q = b/d, P d^2 and Q d^2 (:func:`scalars.poly_P`, :func:`scalars.poly_Q`) are integral."""
+    p = a/d and q = b/d, P d^2 and Q d^2 (:func:`scalars.pq_coefficients`) are integral."""
     (a, da), (b, db) = params.p.as_integer_ratio(), params.q.as_integer_ratio()
-    a, b, d = a * db, b * da, da * db
-    polys = ((d * (2 * a + b), (a + 2 * d) * b, (d - a) * b), (d * (2 * a + b), 2 * (a + b) * d - a * a, b * d))
+    polys = pq_coefficients(a * db, b * da, da * db)
     return all(_sign_holds(poly, params.q, strict) for poly in polys[: 1 if n == 2 else 2])
 
 

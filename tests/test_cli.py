@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -127,6 +128,43 @@ def test_usage_errors_exit_2(argv, message, capsys):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert message in err and "Traceback" not in err
+
+
+# flags the parser accepts whose evaluations pass the float range: answered with inf or nan, exit 0
+FLOAT_RANGE_EDGES = [
+    (("classify", "--p", "1e308", "--q", "1e308", "--n", "2", "--c", "1"), "scalar_at_zero = inf\n"),
+    (("classify", "--p=-1e308", "--q=-1e308", "--n", "2", "--c=-1"), "scalar_at_zero = -inf\n"),
+    (("curvature", "--p", "3", "--q", "1e200", "--n", "3", "--c", "1", "--samples", "2"), "\n0,1,0,1e+200,1e+200,nan\n"),
+    (("curvature", "--p", "1/3", "--q", "1e160", "--n", "3", "--c", "1", "--samples", "2"), "\n0,1,0,1e+160,1e+160,nan\n"),
+    (("curvature", "--p", "1e200", "--q", "0", "--n", "3", "--c", "1", "--samples", "2"), "\n0,1,0,nan,nan,nan\n"),
+]
+
+
+@pytest.mark.parametrize("argv, row", FLOAT_RANGE_EDGES,
+                         ids=["classify_inf", "classify_minus_inf", "curvature_q_1e200", "curvature_rational_p",
+                              "curvature_p_1e200"])
+def test_float_range_edges_exit_0(argv, row, capsys):
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and row in out and "Traceback" not in err
+
+
+def test_curvature_io_error_exit_3(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "curvature", "--p", "1", "--q", "1", "--n", "3", "--c", "1",
+                             "--csv", str(tmp_path / "missing" / "x.csv"))
+    assert (code, out) == (3, "") and err.startswith("I/O error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", [
+    (("classify", "--p", "1e308", "--q", "1e308", "--n", "2", "--c", "1"), 0, "scalar_at_zero = inf\n", ""),
+    (("classify", "--p", "1", "--q", "1", "--n", "1"), 2, "", "error: n >= 2 required\n"),
+], ids=["answer", "refusal"])
+def test_module_entry(argv, code, stdout, stderr):
+    # the exit code as a shell sees it, through the interpreter's own exit path; stderr holds no traceback
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "cgm.cli", *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (code, stderr) and stdout in proc.stdout
 
 
 class TestScanCommand:

@@ -581,6 +581,13 @@ class TestInterval:
             lo, hi = scalar_positivity_interval(Params(1e10, 0), 2)
         assert lo == -2e10 and 0 < hi < math.inf
 
+    def test_exact_inputs_evaluate_as_floats(self):
+        # phi expands C on float(p), float(q): past the float range the ends read nan, and an exact
+        # point has the bits of its float twin
+        assert all(math.isnan(v) for v in scalar_positivity_interval(Params(3, 10**200), 3))
+        exact, floats = Params(Fraction(5, 2), Fraction(1, 3)), Params(2.5, 1 / 3)
+        assert scalar_positivity_interval(exact, 3) == scalar_positivity_interval(floats, 3)
+
     def test_script_tabulates_the_pinned_cases(self, capsys):
         path = Path(__file__).resolve().parents[1] / "scripts" / "positivity_intervals.py"
         spec = importlib.util.spec_from_file_location("positivity_intervals", path)

@@ -160,6 +160,15 @@ def test_as_exact_keeps_integral_values_int():
         assert type(as_exact(x)) is Fraction and as_exact(x) == x
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400, -(10**400), Fraction(10**400, 3)],
+                         ids=["inf", "minus_inf", "nan", "int_1e400", "minus_int_1e400", "fraction_1e400_over_3"])
+def test_params_refuse_values_past_the_float_range(value):
+    # an int or Fraction too large for a float is refused as inf is, by ValueError and not OverflowError
+    for p, q in ((value, 0), (0, value)):
+        with pytest.raises(ValueError, match="parameters must be finite"):
+            Params(p, q)
+
+
 def test_poly_G_integral_values_are_ints():
     # integral p, q, c expand on ints; only c^2/2 can make a coefficient non-integral
     assert all(type(v) is int for v in poly_G(Params(3, 2), 3, -2).coefficients)
