@@ -26,7 +26,7 @@ import numpy as np
 
 from . import regions as rg
 from .regions import classify, find_params_thm1, find_params_thm3, radial_planes
-from .scalars import Params, as_exact, fibre_end, scalar_curvature_spaceform
+from .scalars import Params, as_exact, check_n, fibre_end, scalar_curvature_spaceform
 from .verify import SUITES, run_suites
 
 MAX_GRID_CELLS = 10_000_000
@@ -162,7 +162,7 @@ def cmd_classify(args) -> int:
     payload["p"], payload["q"], payload["n"] = float(args.p), float(args.q), args.n
     if args.c is not None:
         payload["c"] = float(args.c)
-        exact = args.n * (args.n - 1) * (Fraction(args.c) + 2 * Fraction(args.p) + Fraction(args.q))
+        exact = args.n * (args.n - 1) * (args.c + 2 * args.p + args.q)
         try:
             payload["scalar_at_zero"] = float(exact)
         except OverflowError:  # past the float range, where the sign is still exact
@@ -206,9 +206,10 @@ def cmd_curvature(args) -> int:
         t_max = (1 - 1e-6) * fibre_end(params)
         print(f"warning: t-max clipped to {t_max:.9g} (ball-bundle boundary)", file=sys.stderr)
     t = np.linspace(0.0, t_max, args.samples)
-    fam = radial_planes(params, c, t)
-    k_vv_min = np.minimum(fam.vv_through, fam.vv_perp) if n >= 3 else fam.vv_through
-    s = scalar_curvature_spaceform(params, n, c, t)
+    with np.errstate(all="ignore"):  # at the edge of the float range the rows read inf and nan
+        fam = radial_planes(params, c, t)
+        k_vv_min = np.minimum(fam.vv_through, fam.vv_perp) if n >= 3 else fam.vv_through
+        s = scalar_curvature_spaceform(params, n, c, t)
     lines = ["t,K_hh_max_e,K_hv_max_e,K_vv_min,K_vv_U,scalar"]
     for i in range(t.size):
         row = (t[i], fam.hh[i], fam.hv[i], k_vv_min[i], fam.vv_through[i], s[i])
@@ -309,8 +310,7 @@ def main(argv=None) -> int:
     """Run one subcommand and return its exit code; argparse exits 2 itself on a malformed flag."""
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "n", 2) < 2:
-            raise ValueError("n >= 2 required")
+        check_n(getattr(args, "n", 2))
         return args.func(args)
     except (ValueError, RuntimeError) as exc:  # a usage error (2), or no certified candidate (1)
         print(f"error: {exc}", file=sys.stderr)

@@ -28,15 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .scalars import (
-    DomainError,
-    Params,
-    as_float,
-    check_fiber_radius,
-    coefficients,
-    omega,
-    omega_q,
-)
+from .scalars import DomainError, Params, as_float, check_n, coefficients, omega, omega_q
 
 ORTHO_TOL = 1e-10
 
@@ -128,11 +120,10 @@ class BaseCurvature:
         c = as_float(c)
 
         def r_op(X, Y, Z):
-            return c * (_dot(Y, Z) * X - _dot(X, Z) * Y)
+            return c * _r_shape(X, Y, Z)
 
-        zero4 = lambda W, X, Y, Z: np.zeros_like(X)
-        zero2 = lambda X, e: np.zeros_like(X)
-        return cls(c, r_op, zero4, zero2)
+        zero2 = lambda X, e: np.zeros_like(X)  # the coderivative vanishes, so "hv" Ricci is 0
+        return cls(c, r_op, None, zero2)
 
     @classmethod
     def custom(cls, r_op, nabla_op=None, delta_op=None) -> "BaseCurvature":
@@ -164,15 +155,19 @@ def _r_shape(X, Y, Z):
     return _dot(Y, Z) * X - _dot(X, Z) * Y
 
 
+def _point(params: Params, e: FiberPoint) -> tuple:
+    """p, q, omega and omega_q at the fibre point e, after the one domain check (made by omega_q)."""
+    wq = omega_q(e.t, params)
+    return as_float(params.p), as_float(params.q), omega(e.t), wq
+
+
 def metric_h(params: Params, e: FiberPoint, A: LiftVector, B: LiftVector) -> float | np.ndarray:
     """Pairing of two lifted vectors under h_{p,q} at the fibre point e.
 
     A float for single vectors, an array over the batch axes for batches.
     """
-    check_fiber_radius(params, e.t)
-    w = omega(e.t)
-    q = as_float(params.q)
-    val = _dot(A.h, B.h) + w ** as_float(params.p) * (
+    p, q, w, _ = _point(params, e)
+    val = _dot(A.h, B.h) + w ** p * (
         _dot(A.v, B.v) + q * _dot(A.v, e.e) * _dot(B.v, e.e)
     )
     return float(val) if np.ndim(val) == 0 else val[..., 0]
@@ -193,14 +188,11 @@ def connection(
     field: "hh", "hv", "vh" or "vv".  ``nabla_xy`` is the base covariant
     derivative of Y along X at the foot point (zero in a normal frame).
     """
-    check_fiber_radius(params, e.t)
+    p, q, w, wq = _point(params, e)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if nabla_xy is None:
         nabla_xy = np.zeros_like(X)
-    p, q = float(params.p), float(params.q)
-    w = omega(e.t)
-    wq = omega_q(e.t, params)
     ev = e.e
     if case == "hh":
         return LiftVector(nabla_xy, -0.5 * base.R(X, Y, ev))
@@ -230,13 +222,10 @@ def riemann(
     types of X and Y, the last that of Z.  X, Y, Z may carry leading batch
     axes when the base operators broadcast (space forms).
     """
-    check_fiber_radius(params, e.t)
+    p, q, w, wq = _point(params, e)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    p, q = as_float(params.p), as_float(params.q)
-    w = omega(e.t)
-    wq = omega_q(e.t, params)
     ev = e.e
     R = base.R
     wp = w**p
@@ -338,12 +327,10 @@ def sectional(
     non-orthogonal base vectors use :func:`sectional_plane`.  The "vv" plane also
     takes a per-row batch (p, q of shape (m, 1), e of shape (m, n)): an (m,) array.
     """
-    check_fiber_radius(params, e.t)
+    p, q, w, _ = _point(params, e)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     _check_orthonormal(X, Y)
-    p, q = as_float(params.p), as_float(params.q)
-    w = omega(e.t)
     ev = e.e
     if plane == "hh":
         base_k = float(base.R(X, Y, Y) @ X)
@@ -391,11 +378,10 @@ def ricci(
     base: BaseCurvature,
 ) -> float:
     """Ricci form on the named lifts of X and Y (frame sums over the standard basis)."""
-    check_fiber_radius(params, e.t)
+    check_n(n)
+    p, _, w, _ = _point(params, e)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    p = float(params.p)
-    w = omega(e.t)
     ev = e.e
     basis = np.eye(n)
     if case == "hh":
@@ -426,9 +412,8 @@ def ricci(
 
 def scalar(params: Params, n: int, e: FiberPoint, base: BaseCurvature) -> float:
     """Scalar curvature of h_{p,q} at the fibre point e."""
-    check_fiber_radius(params, e.t)
-    p = float(params.p)
-    w = omega(e.t)
+    check_n(n)
+    p, _, w, _ = _point(params, e)
     basis = np.eye(n)
     frame_sum = sum(
         float(np.dot(rij := base.R(basis[i], basis[j], e.e), rij))
@@ -445,9 +430,8 @@ def scalar(params: Params, n: int, e: FiberPoint, base: BaseCurvature) -> float:
 
 def tangent_frame(params: Params, e: FiberPoint) -> list[LiftVector]:
     """h-orthonormal frame of the total tangent space at e (horizontal first)."""
-    check_fiber_radius(params, e.t)
+    p, _, w, wq = _point(params, e)
     n = e.n
-    p = float(params.p)
     basis = np.eye(n)
     if e.t > 0:
         ehat = e.e / math.sqrt(e.t)
@@ -460,8 +444,8 @@ def tangent_frame(params: Params, e: FiberPoint) -> list[LiftVector]:
                 cols.append(v / nv)
             if len(cols) == n:
                 break
-        scale = omega(e.t) ** (-p / 2)
-        vert = [math.sqrt(omega_q(e.t, params)) * scale * cols[0]]
+        scale = w ** (-p / 2)
+        vert = [math.sqrt(wq) * scale * cols[0]]
         vert.extend(scale * c for c in cols[1:])
     else:
         cols = [basis[i] for i in range(n)]

@@ -2,10 +2,12 @@
 
 Region membership follows the defining inequalities verbatim, each region
 written once: one component rule gives Gamma and Gamma', one rule gives Delta_c
-and Delta'_c together.  Strict versus non-strict comparisons are preserved,
-comparisons are performed in exact rational arithmetic whenever the inputs are
-rational (floats are compared exactly as the rationals they represent, never
-with an epsilon), and the boundary curves lambda, nu are evaluated exactly.
+and Delta'_c together, and that rule alone puts every c < 0 outside both.
+Strict versus non-strict comparisons are preserved, comparisons are performed
+in exact rational arithmetic on the values of :func:`cgm.scalars.as_exact`
+(floats are compared exactly as the rationals they represent, never with an
+epsilon; an infinite or NaN input is refused there), the dimension is checked by
+:func:`cgm.scalars.check_n`, and the boundary curves lambda, nu are evaluated exactly.
 Two decisions are floats: the cut mu(p) >= 3c/4 for non-integer p, and the
 window test |c - k s| < k sqrt(1 + r) s of :func:`sufficient_cases`, the one
 rule set of the sufficient conditions for positive scalar curvature, where each
@@ -46,7 +48,7 @@ import numpy as np
 from .scalars import (
     Params,
     as_exact,
-    as_fraction,
+    check_n,
     f_sup,
     fibre_end,
     hyperbola_lambda,
@@ -125,12 +127,13 @@ def _in_omega(p, q) -> bool:
 
 
 def _delta_pair(p, q, c):
-    """Membership of (p, q) in Delta_c and in Delta'_c, for exact c >= 0.
-
-    The two agree for q > 0.  For q <= 0, Delta'_c is p + q >= 1 (q < 0) and
+    """Membership of (p, q) in Delta_c and in Delta'_c, for exact c: none for c < 0, where K >= 0
+    fails on the base.  The two agree for q > 0.  For q <= 0, Delta'_c is p + q >= 1 (q < 0) and
     the axis q = 0 from p = 0 (c = 0) or p = 1 (c > 0), cut by mu(p) >= 3c/4;
     Delta_c narrows the first to the line p + q = 1 and caps the axis at p <= 2.
     """
+    if c < 0:
+        return False, False
     if c == 0:  # closures of the q > 0 components of Gamma except the third
         upper = (
             (-8 < p <= -2 and q >= hyperbola_lambda(p))
@@ -140,7 +143,7 @@ def _delta_pair(p, q, c):
     else:
         upper = c <= Fraction(4, 3) and p == 1
     upper = (q > 0) & upper
-    cut = c == 0 or (p >= 1 and mu(p) >= 3 * c / 4)  # for c > 0, q <= 0 needs p >= 1
+    cut = c == 0 or (p >= 1 and mu(p) >= Fraction(3 * c, 4))  # for c > 0, q <= 0 needs p >= 1
     line, below, axis = 1 - p, q < 0, (q == 0) & (p >= (0 if c == 0 else 1))
     narrow = upper | (cut & ((below & (q == line)) | (axis & (p <= 2))))
     wide = upper | (cut & ((below & (q >= line)) | axis))
@@ -169,19 +172,15 @@ def classify(params: Params, n: int, c: Optional[Number] = None) -> RegionVerdic
 
     Gamma and Gamma' are read off one component rule, Delta_c and Delta'_c off one pair rule.
     """
-    if n < 2:
-        raise ValueError("n >= 2 required")
-    p, q = as_fraction(params.p), as_fraction(params.q)
+    check_n(n)
+    p, q = as_exact(params.p), as_exact(params.q)
     component = next((name for name, hit in zip(_COMPONENTS, _gamma_conditions(p, q)) if hit), "none")
     if c is None:
-        delta = (None, None)
-        reason = "no base curvature supplied"
-    elif as_fraction(c) < 0:
-        delta = (False, False)
-        reason = "nonnegative sectional curvature requires c >= 0"
+        delta, reason = (None, None), "no base curvature supplied"
     else:
-        delta = _delta_pair(p, q, as_fraction(c))
-        reason = None
+        c = as_exact(c)
+        delta = _delta_pair(p, q, c)
+        reason = "nonnegative sectional curvature requires c >= 0" if c < 0 else None
     return RegionVerdict(
         in_gamma=component in _GAMMA,
         in_gamma_prime=component != "none",
@@ -196,18 +195,14 @@ def classify(params: Params, n: int, c: Optional[Number] = None) -> RegionVerdic
 
 def vertical_positivity(params: Params, n: int) -> bool:
     """Whether every vertical 2-plane has strictly positive sectional curvature."""
-    if n < 2:
-        raise ValueError("n >= 2 required")
-    return _vertical_positive(as_fraction(params.p), as_fraction(params.q), n)
+    check_n(n)
+    return _vertical_positive(as_exact(params.p), as_exact(params.q), n)
 
 
 def nonneg_sectional(params: Params, n: int, c: Number) -> bool:
     """Whether h_{p,q} over a curvature-c space form has K >= 0 on every plane spanned by lifts."""
-    if n < 2:
-        raise ValueError("n >= 2 required")
-    if as_fraction(c) < 0:
-        return False  # K >= 0 necessary on the base
-    return _delta_pair(as_fraction(params.p), as_fraction(params.q), as_fraction(c))[n == 2]
+    check_n(n)
+    return _delta_pair(as_exact(params.p), as_exact(params.q), as_exact(c))[n == 2]
 
 
 def sufficient_cases(p, q, n: int):
@@ -252,10 +247,9 @@ def sufficient_cases(p, q, n: int):
 
 def scalar_pos_sufficient(params: Params, n: int, c: Number) -> Optional[str]:
     """First matching sufficient condition for positive scalar curvature, or None."""
-    if n < 2:
-        raise ValueError("n >= 2 required")
-    p, q = as_fraction(params.p), as_fraction(params.q)
-    cx = as_fraction(c)
+    check_n(n)
+    p, q = as_exact(params.p), as_exact(params.q)
+    cx = as_exact(c)
     if cx == 0:
         if not _vertical_positive(p, q, n):
             return None
@@ -273,17 +267,16 @@ def scalar_pos_sufficient(params: Params, n: int, c: Number) -> Optional[str]:
 SCAN_PREDICATES = ("gamma", "gamma_prime", "delta", "delta_prime", "scalar_sufficient", "vertical_positive")
 
 
-def _scan_c(predicate: str, n: int, c: Optional[Number]) -> Optional[Fraction]:
+def _scan_c(predicate: str, n: int, c: Optional[Number]) -> Optional[Number]:
     """A scan's c, exact, or None for the predicates that read none; a missing c is one ValueError."""
     if predicate not in SCAN_PREDICATES:
         raise ValueError(predicate)
-    if n < 2:
-        raise ValueError("n >= 2 required")
+    check_n(n)
     if predicate in ("gamma", "gamma_prime", "vertical_positive"):
         return None
     if c is None:
         raise ValueError(f"{predicate} needs the base curvature c")
-    return as_fraction(c)
+    return as_exact(c)
 
 
 def cell_value(predicate: str, p: float, q: float, n: int, c: Optional[Number] = None) -> float:
@@ -300,11 +293,11 @@ def cell_value(predicate: str, p: float, q: float, n: int, c: Optional[Number] =
 def column_values(predicate: str, p: float, q: np.ndarray, n: int, c: Optional[Number]) -> tuple[list, int]:
     """A scan column, exact p and float q, by the predicate's rule on a _Column, its ties and, for
     scalar_sufficient at c != 0, its case regions decided by :func:`cell_value`; and the tie count."""
-    c, px, col = _scan_c(predicate, n, c), Fraction(p), _Column(q)
+    c, px, col = _scan_c(predicate, n, c), as_exact(p), _Column(q)
     if c is None or (predicate == "scalar_sufficient" and c == 0):
         inside = _vertical_positive(px, col, {"gamma": 3, "gamma_prime": 2}.get(predicate, n))  # Gamma: n >= 3
     elif predicate != "scalar_sufficient":
-        inside = c >= 0 and _delta_pair(px, col, c)[predicate == "delta_prime"]  # below c = 0 none is inside
+        inside = _delta_pair(px, col, c)[predicate == "delta_prime"]
     else:  # col.tie is read once every region has marked it
         regions = functools.reduce(operator.or_, [region for _, region, _ in sufficient_cases(px, col, n)])
         inside, col.tie = False, regions | col.tie
@@ -384,7 +377,7 @@ def _positivity_set(params: Params, n: int) -> tuple[tuple[float, float], tuple[
     :func:`_phi_limit`, f for q >= 0 to 0 (p > 1), 1 (p = 1) or inf (p < 1), for q < 0 to f(T) while
     phi -> +-inf.  A radius where phi overflows to +inf bounds nothing.  An empty interval has lo >= hi
     (grid) or lo > hi (tail), or an end nan: a radius with complex roots, or f or phi not finite."""
-    p = as_fraction(params.p)
+    p = as_exact(params.p)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f, phi_t = scalar_parts(params, n, _t_grid(params))
         lower, upper = _sign_change_ends(n, f, phi_t)
@@ -560,8 +553,8 @@ def find_params_thm1(n: int, c: Number) -> SearchResult:
     threshold, found by doubling k and then bisecting, as mu increases strictly.
     Raises ValueError when that p would pass 2 + THM1_K_MAX/10 = 13109.2.
     """
-    if n < 2:
-        raise ValueError("n >= 2 required")
+    check_n(n)
+    c = as_exact(c)
     cf = float(c)
     if n == 2 and c == 0:
         params = Params(1, 0)
@@ -647,9 +640,8 @@ def find_params_thm3(n: int, c: Number) -> SearchResult:
     ValueError naming c when that p would pass 2 + THM3_K_MAX = 66; for c < 0 and n >= 3, naming n and c
     when the starting p passes 2 + THM3_NEG_K_MAX = 514, and naming p when G overflows floats.
     """
-    if n < 2:
-        raise ValueError("n >= 2 required")
-    cx = as_fraction(c)
+    check_n(n)
+    cx = as_exact(c)
     cf = float(cx)
     for rejections, (p, q, path) in enumerate(_thm3_candidates(n, cx)):
         g = poly_G(Params(p, q), n, cx)
@@ -669,8 +661,7 @@ def find_params_general(n: int, a: Number, b: Number) -> tuple[float, SearchResu
     squared curvature frame sum by b|e|^2; the comparison space form uses
     c_used = min(a / n(n-1), -sqrt(b / 2(n-1))) minus a safety margin.
     """
-    if n < 2:
-        raise ValueError("n >= 2 required")
+    check_n(n)
     if b < 0:
         raise ValueError("b >= 0 required")
     base = min(float(a) / (n * (n - 1)), -math.sqrt(float(b) / (2 * (n - 1))))

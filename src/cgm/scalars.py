@@ -16,9 +16,10 @@ coefficients also accept float arrays of p and q (shape (m, 1): one point per ro
 Polynomial coefficients are expanded in exact arithmetic whenever the inputs
 are rational (int / Fraction); float inputs propagate as floats.  :func:`as_exact`
 is the one rule for exact values: an integral value is an ``int``, any other a
-``Fraction``, so the expansions of G run on Python ints for integral p, q, c.
-Sign decisions made downstream (coefficient-positivity searches, region
-boundaries) rely on this exactness.
+``Fraction``, so the expansions of G run on Python ints for integral p, q, c;
+an infinity or a NaN is refused there, naming the value.  Sign decisions made
+downstream (coefficient-positivity searches, region boundaries) rely on this
+exactness.  :func:`check_n` is the one rule for the base dimension, n >= 2.
 """
 
 from __future__ import annotations
@@ -43,15 +44,20 @@ class DomainError(ValueError):
     """Raised when an evaluation point leaves the Riemannian ball bundle."""
 
 
-def as_fraction(x: Number) -> Fraction:
-    # Fraction(float) is exact (binary expansion), so this never rounds.
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def as_exact(x: Number) -> Number:
-    """The exact value of x: an int when it is integral, a Fraction otherwise."""
-    f = as_fraction(x)
+    """The exact value of x: an int when it is integral, a Fraction otherwise (Fraction(float) never
+    rounds).  An infinity or a NaN has no exact value: ValueError naming it."""
+    try:
+        f = x if isinstance(x, Fraction) else Fraction(x)
+    except (OverflowError, ValueError):  # Fraction(inf) overflows, Fraction(nan) is a ValueError
+        raise ValueError(f"{x} has no exact value: a finite number is required") from None
     return f.numerator if f.denominator == 1 else f
+
+
+def check_n(n: int) -> None:
+    """The one rule for the base dimension: n >= 2, else ValueError."""
+    if n < 2:
+        raise ValueError("n >= 2 required")
 
 
 @dataclass(frozen=True)
@@ -129,10 +135,9 @@ class CoefficientSet:
 
 def weights_AB(params: Params, t: Radius) -> tuple:
     """The weights omega, omega_q and the coefficients A, B of :func:`coefficients` at radii t."""
-    check_fiber_radius(params, t)
-    p, q = as_float(params.p), as_float(params.q)
+    wq = omega_q(t, params)  # the domain check
     w = omega(t)
-    wq = omega_q(t, params)
+    p, q = as_float(params.p), as_float(params.q)
     A = p * w * wq * ((p + 2 * q - 2) * w - q)
     B = wq * (p * p * w * w - p * (p - 2) * w + q)
     return w, wq, A, B
@@ -146,8 +151,7 @@ def coefficients(params: Params, t: Radius, n: int) -> CoefficientSet:
     Ricci form; they carry the dimension n.  C is evaluated from its own
     closed form and must satisfy omega_q * (A - q*B) == C to rounding.
     """
-    if n < 2:
-        raise ValueError("n >= 2 required")
+    check_n(n)
     w, wq, A, B = weights_AB(params, t)
     p, q = as_float(params.p), as_float(params.q)
     C = wq * wq * (p * (p - 2) * (1 - q) * w * w + p * q * (p - 3) * w - q * q)
@@ -219,8 +223,7 @@ def poly_Q(params: Params) -> PolySpec:
 
 def poly_C(params: Params, n: int) -> PolySpec:
     """Cubic 2*P(t) + (n-2)*(1+q.t)*Q(t) controlling the flat-base scalar sign."""
-    if n < 2:
-        raise ValueError("n >= 2 required")
+    check_n(n)
     q = params.q
     two_p = [2 * c for c in poly_P(params).coefficients]
     rest = _poly_mul([1, q], poly_Q(params).coefficients)
@@ -324,8 +327,7 @@ def phi(params: Params, n: int, t: Radius) -> Radius:
 
 def scalar_parts(params: Params, n: int, t: Radius) -> tuple[Radius, Radius]:
     """f(t) and phi(t) at checked radii t: the part of the scalar curvature that does not depend on c."""
-    if n < 2:
-        raise ValueError("n >= 2 required")
+    check_n(n)
     check_fiber_radius(params, t)
     return f_value(as_float(t), float(params.p)), phi(params, n, as_float(t))
 

@@ -24,7 +24,7 @@ from . import oracle as oc
 from . import regions as rg
 from .scalars import (
     Params,
-    as_fraction,
+    as_exact,
     coefficients,
     f_sup,
     f_value,
@@ -386,8 +386,8 @@ def _exact_nonneg(params: Params, n: int, c) -> bool:
     """Whether every lifted plane over a curvature-c space form has K >= 0: vertizontal planes do, vertical
     ones need P, Q >= 0, and the horizontal c - (3/4) c^2 f(t) needs c <= 4/(3 sup f).  Once P >= 0, sup f
     is 1/mu(p) for p >= 1 and inf for p < 1 (for q < 0, p + q < 1 gives P(-1/q) < 0)."""
-    c, p = as_fraction(c), params.p
-    return c >= 0 and (c == 0 or (p >= 1 and mu(p) >= 3 * c / 4)) and _exact_vertical(params, n, False)
+    c, p = as_exact(c), params.p
+    return c >= 0 and (c == 0 or (p >= 1 and mu(p) >= Fraction(3 * c, 4))) and _exact_vertical(params, n, False)
 
 
 def vertical_mismatches() -> tuple[int, list]:
@@ -499,7 +499,7 @@ def sufficient_condition_samples(seed: int = 0) -> list:
 
     def centered(params, n):
         # c in the window of the first case whose region holds: strictly inside the open bound, away from 0
-        p, q = as_fraction(params.p), as_fraction(params.q)
+        p, q = as_exact(params.p), as_exact(params.q)
         center, radius = next(window() for _, region, window in rg.sufficient_cases(p, q, n) if region)
         for _ in range(50):
             c = center + radius * rng.uniform(-0.95, 0.95)
