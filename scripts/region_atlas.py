@@ -13,16 +13,18 @@ Usage: python scripts/region_atlas.py [outdir]
 
 import pathlib
 import sys
+from fractions import Fraction
+
+import numpy as np
 
 from cgm.cli import ScanSpec, _scan, write_scan_csv, write_scan_svg
-from fractions import Fraction
 
 
 def emit(outdir: pathlib.Path, name: str, spec: ScanSpec) -> None:
     cells, exact = _scan(spec)
     write_scan_csv(str(outdir / f"{name}.csv"), spec, cells)
     write_scan_svg(str(outdir / f"{name}.svg"), spec, cells)
-    inside = sum(1 for _, _, v in cells if v == 1.0)
+    inside = np.count_nonzero(cells[:, 2] == 1.0)
     print(f"{name}: {inside}/{len(cells)} cells inside, {exact} on the exact per-cell path")
 
 

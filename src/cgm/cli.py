@@ -3,7 +3,8 @@
 Flags accept exact rationals ("16/3", "0.05") so that region boundaries are
 testable without floating fuzz.  Scans evaluate at the float value of each
 grid node, which is exactly what the CSV records, so re-parsing a CSV row and
-re-evaluating reproduces the stored value bit-for-bit.
+re-evaluating reproduces the stored value bit-for-bit.  A scan's cells are one
+(N, 3) float64 array of rows (p, q, value), from the column kernel to the writers.
 
 Exit codes: 0 success, 1 verification failure or no certified candidate, 2 usage error, 3 I/O error.
 Subcommands raise and :func:`main` alone turns the outcome into the code: a ValueError (DomainError
@@ -13,7 +14,6 @@ included) is a usage error, a RuntimeError a search without a certified candidat
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -78,38 +78,40 @@ class ScanSpec:
         return [lo + k * step for k in range(self.axis_count(which))]
 
 
-def _scan(spec: ScanSpec) -> tuple[list[tuple[float, float, float]], int]:
+def _scan(spec: ScanSpec) -> tuple[np.ndarray, int]:
     """The cells of :func:`run_scan` by :func:`regions.column_values`, and how many were ties."""
     if spec.axis_count("p") * spec.axis_count("q") > MAX_GRID_CELLS:
         raise ValueError("grid exceeds the 1e7 cell limit")
-    q_vals = [float(v) for v in spec.axis("q")]
-    q_axis = np.array(q_vals)
-    cells, exact = [], 0
-    for p in [float(v) for v in spec.axis("p")]:
-        values, ties = rg.column_values(spec.predicate, p, q_axis, spec.n, spec.c)
-        cells += [(p, q, v) for q, v in zip(q_vals, values)]
+    p_axis, q_axis = (np.array([float(v) for v in spec.axis(which)]) for which in ("p", "q"))
+    cells = np.empty((p_axis.size, q_axis.size, 3))
+    cells[:, :, 0], cells[:, :, 1] = p_axis[:, None], q_axis
+    exact = 0
+    for i, p in enumerate(p_axis.tolist()):
+        cells[i, :, 2], ties = rg.column_values(spec.predicate, p, q_axis, spec.n, spec.c)
         exact += ties
-    return cells, exact
+    return cells.reshape(-1, 3), exact
 
 
-def run_scan(spec: ScanSpec) -> list[tuple[float, float, float]]:
-    """Evaluate the scan grid in deterministic row-major order (p outer, q inner)."""
+def run_scan(spec: ScanSpec) -> np.ndarray:
+    """Evaluate the scan grid in deterministic row-major order (p outer, q inner): a C-contiguous
+    float64 array of shape (N, 3), one row (p, q, value) per cell."""
     return _scan(spec)[0]
 
 
 def _write_cells(fh, cells, head, tail) -> None:
-    """Write each cell (p, q, v) as head(p) + tail(q, v), 4096 cells at a time as a float array:
-    one tail per distinct (q, v) bit pattern, one write h + h.join(tails) per run of equal p bits."""
+    """Write each cell (p, q, v) of the scan's (N, 3) array, or of any sequence of (p, q, v), as head(p) +
+    tail(q, v), in blocks of 4096 rows that bound the transient memory: one tail per distinct (q, v) bit
+    pattern, one write h + h.join(tails) per run of equal p bits."""
+    cells = np.asarray(cells, dtype=float).reshape(-1, 3)
     for part in (cells[i:i + 4096] for i in range(0, len(cells), 4096)):
-        cell = np.fromiter(itertools.chain.from_iterable(part), float, count=3 * len(part)).reshape(-1, 3)
-        bits = cell.view(np.int64)  # -0.0 == 0.0, but "-0" != "0"
+        bits = part.view(np.int64)  # -0.0 == 0.0, but "-0" != "0"
         # return_index=True: the stable sort of the tail key below, not a second sort kernel to page in
         (_, _, q_of), (_, _, v_of) = (np.unique(bits[:, j], return_index=True, return_inverse=True) for j in (1, 2))
         _, first, tail_of = np.unique(q_of * (v_of.max() + 1) + v_of, return_index=True, return_inverse=True)
-        tails = np.array([tail(*part[k][1:]) for k in first.tolist()], dtype=object)
+        tails = np.array([tail(q, v) for q, v in part[first, 1:].tolist()], dtype=object)
         runs = (np.flatnonzero(bits[1:, 0] != bits[:-1, 0]) + 1).tolist()
         for a, b in zip([0] + runs, runs + [len(part)]):
-            h = head(part[a][0])
+            h = head(part[a, 0])  # an np.float64, a float subclass
             fh.write(h + h.join(tails[tail_of[a:b]].tolist()))
 
 
@@ -120,11 +122,11 @@ def write_scan_csv(path: str, spec: ScanSpec, cells) -> None:
 
 
 def write_scan_svg(path: str, spec: ScanSpec, cells) -> None:
-    p_vals = sorted({c[0] for c in cells})
-    q_vals = sorted({c[1] for c in cells})
-    for axis, vals in (("p", p_vals), ("q", q_vals)):
-        if any(math.isnan(v) for v in vals):  # NaN keys its position by object, not by value
+    cells = np.asarray(cells, dtype=float).reshape(-1, 3)
+    for j, axis in enumerate("pq"):
+        if np.isnan(cells[:, j]).any():  # NaN equals no position key
             raise ValueError(f"a cell has NaN {axis}: no position in the SVG")
+    p_vals, q_vals = (np.unique(cells[:, j]).tolist() for j in (0, 1))  # -0.0 and 0.0 share one position
     cell_px = 6
     legend_h = 24
     width = len(p_vals) * cell_px + 2

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .scalars import DomainError, Params, as_float, check_n, coefficients, omega, omega_q
+from .scalars import DomainError, Params, as_float, check_n, coefficients, float_in_range, omega, omega_q
 
 ORTHO_TOL = 1e-10
 
@@ -117,7 +117,7 @@ class BaseCurvature:
 
     @classmethod
     def space_form(cls, c: float | np.ndarray) -> "BaseCurvature":
-        c = as_float(c)
+        c = c if isinstance(c, np.ndarray) else float_in_range(c, "c")
 
         def r_op(X, Y, Z):
             return c * _r_shape(X, Y, Z)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .curvature import BaseCurvature, FiberPoint, LiftVector
 from . import curvature as closed
-from .scalars import DomainError, Params, check_fiber_radius, omega
+from .scalars import DomainError, Params, check_fiber_radius, float_in_range, omega
 
 #: the step of every first-order central difference; only the nested step of
 #: fd_riemann (and compare) can be set
@@ -42,7 +42,7 @@ class Chart:
 
     @classmethod
     def space_form(cls, n: int, c: float) -> "Chart":
-        return cls(n, float(c))
+        return cls(n, float_in_range(c, "c"))
 
     def metric(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

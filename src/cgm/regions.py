@@ -51,6 +51,7 @@ from .scalars import (
     check_n,
     f_sup,
     fibre_end,
+    float_in_range,
     hyperbola_lambda,
     hyperbola_nu,
     mu,
@@ -255,7 +256,7 @@ def scalar_pos_sufficient(params: Params, n: int, c: Number) -> Optional[str]:
             return None
         return "gamma" if n >= 3 else "gamma_prime"
 
-    cf = float(cx)
+    cf = float_in_range(cx, "c")
     for case, region, window in sufficient_cases(p, q, n):
         if region:
             center, radius = window()
@@ -276,6 +277,7 @@ def _scan_c(predicate: str, n: int, c: Optional[Number]) -> Optional[Number]:
         return None
     if c is None:
         raise ValueError(f"{predicate} needs the base curvature c")
+    float_in_range(c, "c")  # as in the per-cell rules, which take its float in scalar_pos_sufficient
     return as_exact(c)
 
 
@@ -290,9 +292,9 @@ def cell_value(predicate: str, p: float, q: float, n: int, c: Optional[Number] =
     return 1.0 if getattr(classify(params, n, c), "in_" + predicate) else 0.0
 
 
-def column_values(predicate: str, p: float, q: np.ndarray, n: int, c: Optional[Number]) -> tuple[list, int]:
-    """A scan column, exact p and float q, by the predicate's rule on a _Column, its ties and, for
-    scalar_sufficient at c != 0, its case regions decided by :func:`cell_value`; and the tie count."""
+def column_values(predicate: str, p: float, q: np.ndarray, n: int, c: Optional[Number]) -> tuple[np.ndarray, int]:
+    """A scan column as a float array, exact p and float q, by the predicate's rule on a _Column, its ties
+    and, for scalar_sufficient at c != 0, its case regions decided by :func:`cell_value`; and the tie count."""
     c, px, col = _scan_c(predicate, n, c), as_exact(p), _Column(q)
     if c is None or (predicate == "scalar_sufficient" and c == 0):
         inside = _vertical_positive(px, col, {"gamma": 3, "gamma_prime": 2}.get(predicate, n))  # Gamma: n >= 3
@@ -301,9 +303,9 @@ def column_values(predicate: str, p: float, q: np.ndarray, n: int, c: Optional[N
     else:  # col.tie is read once every region has marked it
         regions = functools.reduce(operator.or_, [region for _, region, _ in sufficient_cases(px, col, n)])
         inside, col.tie = False, regions | col.tie
-    values = [1.0 if v else 0.0 for v in np.broadcast_to(inside, q.shape).tolist()]
-    ties = np.flatnonzero(col.tie).tolist()
-    for j in ties:
+    values = np.broadcast_to(inside, q.shape).astype(float)
+    ties = np.flatnonzero(col.tie)
+    for j in ties.tolist():
         values[j] = cell_value(predicate, p, float(q[j]), n, c)
     return values, len(ties)
 
@@ -428,7 +430,7 @@ class RadialPlanes(NamedTuple):
 
 def radial_planes(params: Params, c: float, t: np.ndarray) -> RadialPlanes:
     """The radial plane families over a curvature-c space form, at radii t."""
-    p = float(params.p)
+    p, c = float(params.p), float_in_range(c, "c")
     w_p, lift = omega(t) ** p, (1.0 + t) ** p
     _, _, A, B = weights_AB(params, t)
     return RadialPlanes(c - 0.75 * c * c * w_p * t, 0.25 * c * c * w_p * t,
@@ -492,7 +494,7 @@ def sectional_witness_min(params: Params, n: int, c: Number) -> float:
     even where every lifted plane is nonnegative (e.g. (p,q)=(1.108,0), n=2, c=1
     near the zero section, confirmed by finite differences); they are not probed.
     """
-    q, cf = float(params.q), float(c)
+    q, cf = float(params.q), float_in_range(c, "c")
     fam = radial_planes(params, cf, _witness_radii(params))
     mins = [fam.hh.min(), fam.hv.min(), fam.vv_through.min()]
     # the infimum of the horizontal family over an unbounded radius range is analytic
@@ -555,7 +557,7 @@ def find_params_thm1(n: int, c: Number) -> SearchResult:
     """
     check_n(n)
     c = as_exact(c)
-    cf = float(c)
+    cf = float_in_range(c, "c")
     if n == 2 and c == 0:
         params = Params(1, 0)
         return _certified(params, n, c, {"path": "c=0: any p>0 on q=0"})
@@ -642,7 +644,7 @@ def find_params_thm3(n: int, c: Number) -> SearchResult:
     """
     check_n(n)
     cx = as_exact(c)
-    cf = float(cx)
+    cf = float_in_range(cx, "c")
     for rejections, (p, q, path) in enumerate(_thm3_candidates(n, cx)):
         g = poly_G(Params(p, q), n, cx)
         if all(coef > 0 for coef in g.coefficients):
@@ -664,7 +666,7 @@ def find_params_general(n: int, a: Number, b: Number) -> tuple[float, SearchResu
     check_n(n)
     if b < 0:
         raise ValueError("b >= 0 required")
-    base = min(float(a) / (n * (n - 1)), -math.sqrt(float(b) / (2 * (n - 1))))
+    base = min(float_in_range(a, "a") / (n * (n - 1)), -math.sqrt(float_in_range(b, "b") / (2 * (n - 1))))
     margin = max(1.0, 0.01 * abs(base))
     c_used = base - margin
     return c_used, find_params_thm3(n, c_used)

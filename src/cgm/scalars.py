@@ -19,7 +19,8 @@ is the one rule for exact values: an integral value is an ``int``, any other a
 ``Fraction``, so the expansions of G run on Python ints for integral p, q, c;
 an infinity or a NaN is refused there, naming the value.  Sign decisions made
 downstream (coefficient-positivity searches, region boundaries) rely on this
-exactness.  :func:`check_n` is the one rule for the base dimension, n >= 2.
+exactness.  :func:`check_n` is the one rule for the base dimension, n >= 2, and
+:func:`float_in_range` takes every float of c: one past the float range is refused.
 """
 
 from __future__ import annotations
@@ -58,6 +59,14 @@ def check_n(n: int) -> None:
     """The one rule for the base dimension: n >= 2, else ValueError."""
     if n < 2:
         raise ValueError("n >= 2 required")
+
+
+def float_in_range(x: Number, name: str) -> float:
+    """float(x), and for an int or Fraction past the float range a ValueError naming x as ``name``."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{name} is outside the float range") from None
 
 
 @dataclass(frozen=True)
@@ -335,5 +344,5 @@ def scalar_parts(params: Params, n: int, t: Radius) -> tuple[Radius, Radius]:
 def scalar_curvature_spaceform(params: Params, n: int, c: Number, t: Radius) -> Radius:
     """Scalar curvature of h_{p,q} over a curvature-c space form at radius t (scalar or array)."""
     f, phi_t = scalar_parts(params, n, t)
-    c = float(c)
+    c = float_in_range(c, "c")
     return (n - 1) * (n * c - 0.5 * c * c * f + phi_t)

@@ -417,9 +417,9 @@ def delta_grid_verdicts(p_axis, q_axis: np.ndarray) -> tuple[dict, int]:
     keys = [("gamma", None), ("gamma_prime", None)] + [(d, c) for c in DELTA_C for d in ("delta", "delta_prime")]
     grid, ties = {}, 0
     for predicate, c in keys:
-        columns = [rg.column_values(predicate, float(p), q_axis, 3, c) for p in p_axis]
-        grid[predicate, c] = np.array([values for values, _ in columns]) == 1.0
-        ties += sum(t for _, t in columns)
+        values, counts = zip(*(rg.column_values(predicate, float(p), q_axis, 3, c) for p in p_axis))
+        grid[predicate, c] = np.stack(values) == 1.0
+        ties += sum(counts)
     return grid, ties
 
 

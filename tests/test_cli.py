@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -315,9 +316,27 @@ class TestScanKernel:
             for predicate in ("delta", "delta_prime", "scalar_sufficient")
         ]
         for spec in specs:
-            got, want = run_scan(spec), per_cell_scan(spec)
+            got, want = [tuple(row) for row in run_scan(spec).tolist()], per_cell_scan(spec)
             bad = [(g, w) for g, w in zip(got, want) if repr(g) != repr(w)]
             assert len(got) == len(want) and not bad, (spec, bad[:3])
+
+    ATLAS_GAMMA = ScanSpec((-9, 3, Fraction(1, 20)), (-3, 3, Fraction(1, 20)), 3, None, "gamma")
+
+    def test_run_scan_returns_one_float_array(self):
+        cells = run_scan(self.ATLAS_GAMMA)
+        assert isinstance(cells, np.ndarray) and cells.dtype == np.float64 and cells.flags.c_contiguous
+        assert cells.shape == (29161, 3)
+
+    def test_run_scan_holds_no_cell_objects(self):
+        # the (N, 3) float array, 0.70 MB on the atlas grid; one tuple per cell held 1.99 MB
+        run_scan(self.ATLAS_GAMMA)  # first-call caches outside the measurement
+        tracemalloc.start()
+        try:
+            cells = run_scan(self.ATLAS_GAMMA)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cells.nbytes <= held < 1_000_000
 
     def test_scalar_sufficient_per_cell_counts_on_atlas_grid(self):
         # the cells the kernel leaves to the per-cell rule: the case regions and the ties (a mask
@@ -588,7 +607,8 @@ class TestByteIdentity:
     ]
 
     def test_writer_edge_cases(self, tmp_path):
-        """Signed zeros, NaN, 0.25, a tiny p, equal p of distinct objects, q running down a column."""
+        """Signed zeros, NaN, 0.25, a tiny p, equal p of distinct objects, q running down a column:
+        the same bytes from the cells as a list of tuples and as one float array."""
         nan = float("nan")
         cells = [
             (-0.0, 0.5, 1.0), (-0.0, 0.0, nan), (-0.0, -0.5, 0.25),
@@ -600,17 +620,22 @@ class TestByteIdentity:
         rects = "".join(f'<rect x="{x}" y="{y}" width="6" height="6" fill="{f}"/>\n' for x, y, f in self.EDGE_RECTS)
         spec = ScanSpec((0, 1, 1), (0, 1, 1), 3, None, "gamma")
         csv, svg = tmp_path / "e.csv", tmp_path / "e.svg"
+        edge_svg = self.SVG_HEAD.format(w=20, h=44) + rects + self.SVG_LEGEND.format(y=24, t=33)
+        empty_svg = self.SVG_HEAD.format(w=2, h=26) + self.SVG_LEGEND.format(y=6, t=15)
         for given, want_csv, want_svg in (
-            (cells, self.EDGE_CSV, self.SVG_HEAD.format(w=20, h=44) + rects + self.SVG_LEGEND.format(y=24, t=33)),
-            ([], "p,q,predicate,value\n", self.SVG_HEAD.format(w=2, h=26) + self.SVG_LEGEND.format(y=6, t=15)),
+            (cells, self.EDGE_CSV, edge_svg),
+            (np.array(cells), self.EDGE_CSV, edge_svg),
+            ([], "p,q,predicate,value\n", empty_svg),
+            (np.empty((0, 3)), "p,q,predicate,value\n", empty_svg),
         ):
             write_scan_csv(str(csv), spec, given)
             write_scan_svg(str(svg), spec, given)
             assert csv.read_bytes().decode() == want_csv
             assert svg.read_bytes().decode() == want_svg
         for axis, cell in (("p", (nan, 0.5, 1.0)), ("q", (0.0, nan, 1.0))):
-            with pytest.raises(ValueError, match=f"NaN {axis}"):
-                write_scan_svg(str(svg), spec, [(0.0, 0.5, 0.0), cell])
+            for given in ([(0.0, 0.5, 0.0), cell], np.array([(0.0, 0.5, 0.0), cell])):
+                with pytest.raises(ValueError, match=f"NaN {axis}"):
+                    write_scan_svg(str(svg), spec, given)
 
     @pytest.mark.parametrize("flags, digest", CURVATURE, ids=["h11_n3", "ball_bundle_n2"])
     def test_curvature_digest(self, flags, digest, capsys):

@@ -13,6 +13,7 @@ from cgm import curvature as cv
 from cgm import regions as rg
 from cgm import scalars
 from cgm.cli import main
+from cgm.oracle import Chart
 from cgm.scalars import Params
 
 SRC = Path(scalars.__file__).resolve().parent
@@ -117,6 +118,37 @@ def test_float_evaluations_answer_nonfinite_c(c):
         s = scalars.scalar_curvature_spaceform(Params(1, 1), 3, c, np.array([0.0, 0.5]))
         m, _ = rg.scalar_grid_min(Params(1, 1), 3, c)
     assert not np.isfinite(s).any() and not math.isfinite(m)
+
+
+PAST_FLOAT_C_ENTRIES = {
+    "classify": lambda c: rg.classify(Params(1, 1), 3, c),
+    "scalar_pos_sufficient": lambda c: rg.scalar_pos_sufficient(Params(1, 1), 3, c),
+    "cell_value": lambda c: rg.cell_value("scalar_sufficient", 1.0, 1.0, 3, c),
+    "column_values": lambda c: rg.column_values("delta", 1.0, np.array([0.0, 1.0]), 3, c),
+    "find_params_thm1": lambda c: rg.find_params_thm1(3, c),
+    "find_params_thm3": lambda c: rg.find_params_thm3(3, c),
+    "scalar_curvature_spaceform": lambda c: scalars.scalar_curvature_spaceform(Params(1, 1), 3, c, 0.5),
+    "scalar_grid_min": lambda c: rg.scalar_grid_min(Params(1, 1), 3, c),
+    "sectional_witness_min": lambda c: rg.sectional_witness_min(Params(1, 1), 3, c),
+    "radial_planes": lambda c: rg.radial_planes(Params(1, 1), c, np.array([0.5])),
+    "BaseCurvature.space_form": lambda c: cv.BaseCurvature.space_form(c),
+    "Chart.space_form": lambda c: Chart.space_form(3, c),
+}
+
+
+@pytest.mark.parametrize("c", [10**400, -10**400, Fraction(10**400, 3)], ids=["1e400", "minus_1e400", "1e400_thirds"])
+@pytest.mark.parametrize("entry", list(PAST_FLOAT_C_ENTRIES))
+def test_c_past_the_float_range_is_refused_naming_it(entry, c):
+    # as Params refuses such a p or q; nonneg_sectional takes no float of c and answers exactly
+    with pytest.raises(ValueError, match=r"^c is outside the float range$"):
+        PAST_FLOAT_C_ENTRIES[entry](c)
+    assert rg.nonneg_sectional(Params(1, 1), 3, c) is False
+
+
+def test_scalar_bounds_past_the_float_range_are_refused_naming_them():
+    for a, b, name in ((-10**400, 0, "a"), (0, 10**400, "b")):
+        with pytest.raises(ValueError, match=rf"^{name} is outside the float range$"):
+            rg.find_params_general(3, a, b)
 
 
 @pytest.mark.parametrize("argv, first_row", [
