@@ -664,9 +664,13 @@ def find_params_general(n: int, a: Number, b: Number) -> tuple[float, SearchResu
     c_used = min(a / n(n-1), -sqrt(b / 2(n-1))) minus a safety margin.
     """
     check_n(n)
+    a, b = float_in_range(a, "a"), float_in_range(b, "b")
+    for name, value in (("a", a), ("b", b)):
+        if not math.isfinite(value):
+            raise ValueError(f"{value} has no exact value: a finite {name} is required")
     if b < 0:
         raise ValueError("b >= 0 required")
-    base = min(float_in_range(a, "a") / (n * (n - 1)), -math.sqrt(float_in_range(b, "b") / (2 * (n - 1))))
+    base = min(a / (n * (n - 1)), -math.sqrt(b / (2 * (n - 1))))
     margin = max(1.0, 0.01 * abs(base))
     c_used = base - margin
     return c_used, find_params_thm3(n, c_used)

@@ -10,8 +10,11 @@ written in :func:`cgm.regions.sufficient_cases`.
 
 The weights, the coefficients, phi and the scalar curvature also accept a
 numpy array of radii and evaluate elementwise, in the same order of
-operations as for a scalar radius.  The domain check, the weights and the
-coefficients also accept float arrays of p and q (shape (m, 1): one point per row).
+operations as for a scalar radius: the weights and coefficients bit for bit,
+while phi and the scalar curvature, whose powers (1 + t)**p numpy evaluates
+by its own routine, may differ in the last bits.  The domain check, the
+weights and the coefficients also accept float arrays of p and q (shape
+(m, 1): one point per row).
 
 Polynomial coefficients are expanded in exact arithmetic whenever the inputs
 are rational (int / Fraction); float inputs propagate as floats.  :func:`as_exact`

@@ -2,7 +2,12 @@
 
 Each suite returns a list of named checks with the worst observed error, so
 the CLI can emit one JSON line per check and exit nonzero when anything
-fails.  All sampling is seeded and deterministic.
+fails.  All sampling is seeded and deterministic.  Every check is built by
+one constructor, :func:`_result`.  A float check compares its worst error
+with a tol: mostly |got - want| / max(|want|, 1); the two identities
+omega_q (A - q B) = C and phi_consistency divide by the largest of their
+terms (and a floor), since those terms cancel; the chart, boundary-limit and
+alpha checks take the pure relative error.
 
 The regions suite checks the region classifiers against exact decisions: the
 signs of the quadratics P and Q on the fibre radii, settled by three sign tests
@@ -67,13 +72,14 @@ class CheckResult:
         return out
 
 
-def _check(name: str, err: float, tol: float, detail: str = "") -> CheckResult:
-    status = "pass" if err <= tol else "fail"
-    return CheckResult(name, status, float(err), detail or f"tol={tol:g}", float(tol))
-
-
-def _check_bool(name: str, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name, "pass" if ok else "fail", None, detail)
+def _result(name: str, err: Optional[float] = None, tol: Optional[float] = None, ok: bool = True,
+            detail: str = "", **extra) -> CheckResult:
+    """The one constructor of a check.  It passes when ok holds and, given a tol, err <= tol; max_err is
+    err as a float, the detail defaults to the tol, and extra holds the further JSON keys in order."""
+    ok = ok and (tol is None or err <= tol)
+    detail = detail or ("" if tol is None else f"tol={tol:g}")
+    return CheckResult(name, "pass" if ok else "fail", None if err is None else float(err), detail,
+                       None if tol is None else float(tol), extra)
 
 
 # ---------------------------------------------------------------------------
@@ -84,20 +90,15 @@ def suite_identities(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
 
-    # omega_q (A - qB) = C over 1e4 domain-valid samples
-    worst = 0.0
+    # omega_q (A - qB) = C over 1e4 domain-valid samples, as one array (A, B, C do not depend on n)
     ps = rng.uniform(-6, 6, 10_000)
     qs = rng.uniform(-4, 4, 10_000)
     ts = rng.uniform(0, 3, 10_000)
     ns = rng.integers(2, 7, 10_000)
     ts = np.where(qs * ts <= -0.9, np.minimum(ts, -0.9 / qs), ts)  # keep 1 + q t >= 0.1
-    for p, q, t, n in zip(ps, qs, ts, ns):
-        cs = coefficients(Params(p, q), t, int(n))
-        wq = omega_q(t, Params(p, q))
-        lhs = wq * (cs.A - q * cs.B)
-        scale = max(abs(wq * cs.A), abs(wq * q * cs.B), abs(cs.C), 1e-12)
-        worst = max(worst, abs(lhs - cs.C) / scale)
-    out.append(_check("identity_omega_q_A_qB_C", worst, 1e-12))
+    cs, wq = coefficients(Params(ps, qs), ts, 2), omega_q(ts, Params(ps, qs))
+    scale = np.maximum.reduce([abs(wq * cs.A), abs(wq * qs * cs.B), abs(cs.C), np.full_like(ts, 1e-12)])
+    out.append(_result("identity_omega_q_A_qB_C", (abs(wq * (cs.A - qs * cs.B) - cs.C) / scale).max(), 1e-12))
 
     # C(t) defining combination, against the expanded coefficients
     worst = 0.0
@@ -106,7 +107,7 @@ def suite_identities(seed: int = 0) -> list[CheckResult]:
         direct = 2 * poly_P(params).evaluate(t) + (int(n) - 2) * (1 + q * t) * poly_Q(params).evaluate(t)
         via = poly_C(params, int(n)).evaluate(t)
         worst = max(worst, abs(direct - via) / max(abs(direct), 1.0))
-    out.append(_check("poly_C_definition", worst, 1e-12))
+    out.append(_result("poly_C_definition", worst, 1e-12))
 
     # coefficientwise C == 2P at n = 2, exactly
     exact = True
@@ -114,7 +115,7 @@ def suite_identities(seed: int = 0) -> list[CheckResult]:
         c2 = poly_C(Params(p, q), 2).coefficients
         twop = tuple(2 * c for c in poly_P(Params(p, q)).coefficients) + (0.0,)
         exact &= all(a == b for a, b in zip(c2, twop))
-    out.append(_check_bool("poly_C_n2_equals_2P", exact))
+    out.append(_result("poly_C_n2_equals_2P", ok=exact))
 
     # Sasaki degeneration
     cs = coefficients(Params(0, 0), 1.7, 4)
@@ -125,22 +126,23 @@ def suite_identities(seed: int = 0) -> list[CheckResult]:
         max(abs(float(c)) for c in poly_Q(Params(0, 0)).coefficients),
         max(abs(float(c)) for c in poly_C(Params(0, 0), 5).coefficients),
     )
-    out.append(_check("sasaki_degeneration", sas, 0.0))
+    out.append(_result("sasaki_degeneration", sas, 0.0))
 
     # mu strictly increasing on the 0.1 grid
     grid = [1 + k / 10 for k in range(91)]
     mono = all(float(mu(a)) < float(mu(b)) for a, b in zip(grid, grid[1:]))
-    out.append(_check_bool("mu_strictly_increasing", mono))
+    out.append(_result("mu_strictly_increasing", ok=mono))
 
-    # phi from poly_C vs the coefficient form in the scalar curvature
+    # phi from poly_C vs the coefficient form (1+t)^p (2 alpha - (n-2) B), whose two terms cancel
     worst = 0.0
     for p, q, t, n in zip(ps[:2000], qs[:2000], ts[:2000], ns[:2000]):
-        params = Params(p, q)
-        cs = coefficients(params, t, int(n))
-        direct = (1 + t) ** p * (2 * cs.alpha - (int(n) - 2) * cs.B)
-        via = phi(params, int(n), t)
-        worst = max(worst, abs(direct - via) / max(abs(direct), 1.0))
-    out.append(_check("phi_consistency", worst, 1e-12))
+        params, n = Params(p, q), int(n)
+        cs = coefficients(params, t, n)
+        weight = (1 + t) ** p
+        direct = weight * (2 * cs.alpha - (n - 2) * cs.B)
+        scale = max(abs(weight * 2 * cs.alpha), abs(weight * (n - 2) * cs.B), 1.0)
+        worst = max(worst, abs(direct - phi(params, n, t)) / scale)
+    out.append(_result("phi_consistency", worst, 1e-12))
 
     # f_sup against a grid maximum
     worst_low, ok_upper = 0.0, True
@@ -154,8 +156,8 @@ def suite_identities(seed: int = 0) -> list[CheckResult]:
         gmax = float(f_value(grid_t, p).max())
         ok_upper &= gmax <= sup + 1e-12
         worst_low = max(worst_low, sup - gmax)
-    out.append(_check("f_sup_grid_lower", worst_low, 1e-3))
-    out.append(_check_bool("f_sup_grid_upper", ok_upper))
+    out.append(_result("f_sup_grid_lower", worst_low, 1e-3))
+    out.append(_result("f_sup_grid_upper", ok=ok_upper))
 
     # G coefficient expansion vs its defining three-term expression
     worst = 0.0
@@ -175,7 +177,7 @@ def suite_identities(seed: int = 0) -> list[CheckResult]:
                 + (1 + t) ** (2 * p - 2) * poly_C(Params(p, q), n).evaluate(t)
             )
             worst = max(worst, abs(g.evaluate(t) - direct) / max(abs(direct), 1.0))
-    out.append(_check("poly_G_three_term", worst, 1e-10))
+    out.append(_result("poly_G_three_term", worst, 1e-10))
 
     # zero-section scalar curvature identity
     worst = 0.0
@@ -185,7 +187,7 @@ def suite_identities(seed: int = 0) -> list[CheckResult]:
         got = scalar_curvature_spaceform(Params(p, q), n, c, 0.0)
         want = n * (n - 1) * (c + 2 * p + q)
         worst = max(worst, abs(got - want) / max(abs(want), 1.0))
-    out.append(_check("scalar_zero_section", worst, 1e-12))
+    out.append(_result("scalar_zero_section", worst, 1e-12))
     return out
 
 
@@ -235,9 +237,9 @@ def suite_symmetries(seed: int = 0) -> list[CheckResult]:
         bnorm = np.linalg.norm(bi.h, axis=-1) + np.linalg.norm(bi.v, axis=-1)
         rnorm = np.linalg.norm(RAB.h, axis=-1) + np.linalg.norm(RAB.v, axis=-1)
         worst_bianchi = max(worst_bianchi, (bnorm / np.maximum(rnorm, 1.0)).max())
-    out.append(_check("curvature_antisymmetry", worst_anti, 1e-9))
-    out.append(_check("curvature_pair_symmetry", worst_pair, 1e-9))
-    out.append(_check("first_bianchi", worst_bianchi, 1e-9))
+    out.append(_result("curvature_antisymmetry", worst_anti, 1e-9))
+    out.append(_result("curvature_pair_symmetry", worst_pair, 1e-9))
+    out.append(_result("first_bianchi", worst_bianchi, 1e-9))
 
     # vertical sectional formula vs assembled curvature / metric quotient, on the planes of e_1, e_2
     rows, worst = {2: [], 3: [], 4: []}, 0.0
@@ -252,7 +254,7 @@ def suite_symmetries(seed: int = 0) -> list[CheckResult]:
         direct = cv.sectional(params, e, "vv", X, Y, base)
         via = cv.sectional_plane(params, e, cv.LiftVector.vertical(X), cv.LiftVector.vertical(Y), base)
         worst = max(worst, (np.abs(direct - via) / np.maximum(np.abs(direct), 1.0)).max())
-    out.append(_check("metric_compatibility_vv", worst, 1e-10))
+    out.append(_result("metric_compatibility_vv", worst, 1e-10))
 
     # flat fibres characterize the Sasaki point
     base0, sasaki = cv.BaseCurvature.space_form(0.0), Params(0, 0)
@@ -262,7 +264,7 @@ def suite_symmetries(seed: int = 0) -> list[CheckResult]:
         points[n].append(_random_point(rng, n, sasaki).e)
     worst = max(np.abs(cv.sectional(sasaki, cv.FiberPoint(np.array(es)), "vv", *np.eye(n)[:2], base0)).max()
                 for n, es in points.items())
-    out.append(_check("sasaki_flat_fibres", worst, 1e-13))
+    out.append(_result("sasaki_flat_fibres", worst, 1e-13))
     nonflat = True
     for _ in range(20):
         p, q = rng.uniform(-3, 4), rng.uniform(-2, 3)
@@ -271,7 +273,7 @@ def suite_symmetries(seed: int = 0) -> list[CheckResult]:
         params = Params(p, q)
         e = cv.FiberPoint(np.array([_random_point(rng, 3, params).e for _ in range(50)]))
         nonflat &= bool(np.abs(cv.sectional(params, e, "vv", *np.eye(3)[:2], base0)).max() > 1e-12)
-    out.append(_check_bool("non_sasaki_curved_fibres", nonflat))
+    out.append(_result("non_sasaki_curved_fibres", ok=nonflat))
 
     # bounded vertical curvature at the boundary for p + q = 1
     worst = 0.0
@@ -281,7 +283,7 @@ def suite_symmetries(seed: int = 0) -> list[CheckResult]:
         e = cv.FiberPoint.radial(tb - 1e-6, 3)
         k = cv.sectional(params, e, "vv", np.eye(3)[1], np.eye(3)[2], cv.BaseCurvature.space_form(0.0))
         worst = max(worst, abs(k - float(mu(p))) / float(mu(p)))
-    out.append(_check("boundary_vertical_limit", worst, 1e-4))
+    out.append(_result("boundary_vertical_limit", worst, 1e-4))
 
     # Ricci = sum of sectional curvatures over an orthonormal completion
     rows, rhos, worst = {2: [], 3: []}, {2: [], 3: []}, 0.0
@@ -299,7 +301,7 @@ def suite_symmetries(seed: int = 0) -> list[CheckResult]:
         planes = cv.sectional_plane(params, e, cv.LiftVector(Vh, Vv), cv.LiftVector(Fh, Fv), base)
         total, rho = sum(planes.reshape(-1, 2 * n - 1).T), np.array(rhos[n])  # summed in frame order
         worst = max(worst, (np.abs(total - rho) / np.maximum(np.abs(rho), 1.0)).max())
-    out.append(_check("ricci_sectional_trace", worst, 1e-8))
+    out.append(_result("ricci_sectional_trace", worst, 1e-8))
 
     # scalar = full Ricci trace over the 2n-frame
     worst = 0.0
@@ -316,7 +318,7 @@ def suite_symmetries(seed: int = 0) -> list[CheckResult]:
         )
         s = cv.scalar(params, n, e, base)
         worst = max(worst, abs(trace - s) / max(abs(s), 1.0))
-    out.append(_check("scalar_ricci_trace", worst, 1e-10))
+    out.append(_result("scalar_ricci_trace", worst, 1e-10))
 
     # zero-section identities
     worst = 0.0
@@ -337,7 +339,7 @@ def suite_symmetries(seed: int = 0) -> list[CheckResult]:
             abs(khv),
             abs(s - want_s) / max(abs(want_s), 1.0),
         )
-    out.append(_check("zero_section_identities", worst, 1e-12))
+    out.append(_result("zero_section_identities", worst, 1e-12))
     return out
 
 
@@ -390,22 +392,27 @@ def _exact_nonneg(params: Params, n: int, c) -> bool:
     return c >= 0 and (c == 0 or (p >= 1 and mu(p) >= Fraction(3 * c, 4))) and _exact_vertical(params, n, False)
 
 
+def _mismatches(cases: list, classifier: Callable, exact: Callable) -> tuple[int, list]:
+    """The classifier against the exact decision on each case (p, q, n, *c): the number of cases, and the
+    (p, q, n, *c, verdict) rows where they differ, c as a float."""
+    bad = [(p, q, n, *map(float, c), verdict) for p, q, n, *c in cases
+           if (verdict := classifier(Params(p, q), n, *c)) != exact(Params(p, q), n, *c)]
+    return len(cases), bad
+
+
 def vertical_mismatches() -> tuple[int, list]:
     """The number of exact vertical decisions on the strata points for n = 2, 3, and the
     (p, q, n, verdict) rows where vertical_positivity differs from them."""
     points = [point for pts in strata_parameter_points().values() for point in pts]
-    bad = [(p, q, n, verdict) for n in (2, 3) for p, q in points
-           if (verdict := rg.vertical_positivity(Params(p, q), n)) != _exact_vertical(Params(p, q), n)]
-    return 2 * len(points), bad
+    return _mismatches([(p, q, n) for n in (2, 3) for p, q in points], rg.vertical_positivity, _exact_vertical)
 
 
 def witness_mismatches(seed: int = 0) -> tuple[int, list]:
     """The number of exact K >= 0 decisions on the witness points for n = 2, 3, and the
     (p, q, n, c, verdict) rows where nonneg_sectional differs from them."""
     points = {c: nonneg_witness_points(float(c), seed) for c in (0, 1, Fraction(16, 3), 6)}
-    bad = [(p, q, n, float(c), verdict) for c, pts in points.items() for n in (2, 3) for p, q in pts
-           if (verdict := rg.nonneg_sectional(Params(p, q), n, c)) != _exact_nonneg(Params(p, q), n, c)]
-    return 2 * sum(map(len, points.values())), bad
+    cases = [(p, q, n, c) for c, pts in points.items() for n in (2, 3) for p, q in pts]
+    return _mismatches(cases, rg.nonneg_sectional, _exact_nonneg)
 
 
 DELTA_C = (6, Fraction(16, 3), 1, 0)
@@ -423,16 +430,20 @@ def delta_grid_verdicts(p_axis, q_axis: np.ndarray) -> tuple[dict, int]:
     return grid, ties
 
 
-def _agreement(name: str, compared: int, bad: list, columns: str) -> CheckResult:
-    detail = f"{len(bad)} of {compared} exact decisions disagree; first {columns}: {bad[:4]}"
-    return _check_bool(name, not bad, detail if bad else f"{compared} exact decisions agree")
+def _agreement(compared: int, bad: list, columns: str) -> str:
+    """The detail of a classifier-vs-exact check."""
+    if not bad:
+        return f"{compared} exact decisions agree"
+    return f"{len(bad)} of {compared} exact decisions disagree; first {columns}: {bad[:4]}"
 
 
 def suite_regions(seed: int = 0) -> list[CheckResult]:
     out = []
 
     # the classifier against the exact decisions from the signs of P and Q
-    out.append(_agreement("classifier_vs_bruteforce", *vertical_mismatches(), "(p, q, n, verdict)"))
+    compared, bad = vertical_mismatches()
+    out.append(_result("classifier_vs_bruteforce", ok=not bad,
+                       detail=_agreement(compared, bad, "(p, q, n, verdict)")))
 
     # Delta monotonicity in c, subset relations, and Delta_0 \ Gamma (the closure curves) next to Gamma
     p_axis, q_axis = np.linspace(-9, 4, 100), np.linspace(-4, 4, 100)
@@ -448,9 +459,9 @@ def suite_regions(seed: int = 0) -> list[CheckResult]:
     edge += [(p, q) for p, q, v in verdicts if v.in_delta and not v.in_gamma]
     probes = [(1e-6, 0.0), (-1e-6, 0.0), (0.0, 1e-6), (0.0, -1e-6), (1e-6, 1e-6), (-1e-6, 1e-6)]
     closure = all(any(rg.classify(Params(p + dp, q + dq), 3).in_gamma for dp, dq in probes) for p, q in edge)
-    out.append(_check_bool("delta_monotone_in_c", mono))
-    out.append(_check_bool("subset_relations", subset))
-    out.append(_check_bool("delta_in_gamma_closure", closure))
+    out.append(_result("delta_monotone_in_c", ok=mono))
+    out.append(_result("subset_relations", ok=subset))
+    out.append(_result("delta_in_gamma_closure", ok=closure))
 
     # scalar-positivity sufficiency is sound on a labeled sample
     labeled = sufficient_condition_samples(seed)
@@ -458,17 +469,14 @@ def suite_regions(seed: int = 0) -> list[CheckResult]:
     worst_min, params, n, c = min(
         ((rg.scalar_grid_min(params, n, c)[0], params, n, c) for params, n, c in labeled), key=lambda row: row[0]
     )
-    out.append(
-        CheckResult(
-            "scalar_sufficiency_sound",
-            "pass" if label_ok and worst_min > 0 else "fail",
-            detail=f"{len(labeled)} labeled samples, min stilde {worst_min:.3g}",
-            extra={"worst": f"p={params.p:g}, q={params.q:g}, n={n}, c={c:g}"},
-        )
-    )
+    out.append(_result("scalar_sufficiency_sound", ok=label_ok and worst_min > 0,
+                       detail=f"{len(labeled)} labeled samples, min stilde {worst_min:.3g}",
+                       worst=f"p={params.p:g}, q={params.q:g}, n={n}, c={c:g}"))
 
     # the K >= 0 classifier against the exact decisions from P, Q and mu
-    out.append(_agreement("nonneg_sectional_witness", *witness_mismatches(seed), "(p, q, n, c, verdict)"))
+    compared, bad = witness_mismatches(seed)
+    out.append(_result("nonneg_sectional_witness", ok=not bad,
+                       detail=_agreement(compared, bad, "(p, q, n, c, verdict)")))
 
     # constructive searches, the full (n, c) matrix
     ok = True
@@ -488,7 +496,7 @@ def suite_regions(seed: int = 0) -> list[CheckResult]:
     for a, b in ((0, 0), (-12, 8)):
         c_used, res = rg.find_params_general(3, a, b)
         ok &= res.certificate["min_scalar_on_grid"] > 0 and c_used < 0
-    out.append(_check_bool("constructive_searches", ok, "; ".join(detail)))
+    out.append(_result("constructive_searches", ok=ok, detail="; ".join(detail)))
     return out
 
 
@@ -599,7 +607,7 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
                 x = rng.uniform(-0.4, 0.4, n)
                 K, _ = oc.chart_base_check(chart, x)
                 worst = max(worst, abs(K - c) / abs(c))
-    out.append(_check("chart_self_certification", worst, 1e-5))
+    out.append(_result("chart_self_certification", worst, 1e-5))
 
     # cross-validation matrix; the tightest record of each cell, with the cell
     worst = 0.0
@@ -611,46 +619,25 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
         if not rep.passed:
             failures.append((params, n, c, t, [r.name for r in rep.failures()]))
     rec, params, n, c, t = min(tightest, key=lambda cell: cell[0].headroom)
-    out.append(
-        CheckResult(
-            "oracle_cross_validation",
-            "pass" if not failures else "fail",
-            worst,
-            f"{len(oracle_matrix_cells())} cells" if not failures else f"failures: {failures[:3]}",
-            extra={
-                "headroom": rec.headroom,
-                "worst": f"{rec.name} at p={params.p:g}, q={params.q:g}, n={n}, c={c:g}, t={t:g}",
-            },
-        )
-    )
+    out.append(_result("oracle_cross_validation", worst, ok=not failures,
+                       detail=f"failures: {failures[:3]}" if failures else f"{len(oracle_matrix_cells())} cells",
+                       headroom=rec.headroom,
+                       worst=f"{rec.name} at p={params.p:g}, q={params.q:g}, n={n}, c={c:g}, t={t:g}"))
 
     # vertical Ricci at the zero section: (n-1)(2p+q), not (n-2)(2p+q)
     n = 3
     val = _oracle_record(Params(1, 1), n, 1.0, 0.0, "ricci_vv_radial").numeric
     want = (n - 1) * 3
     reject = (n - 2) * 3
-    out.append(
-        _check(
-            "alpha_zero_section_adjudication",
-            abs(val - want) / want,
-            1e-4,
-            f"numeric {val:.6f} matches (n-1)(2p+q)={want}, excludes (n-2)(2p+q)={reject}",
-        )
-    )
+    out.append(_result("alpha_zero_section_adjudication", abs(val - want) / want, 1e-4,
+                       detail=f"numeric {val:.6f} matches (n-1)(2p+q)={want}, excludes (n-2)(2p+q)={reject}"))
 
     # step halving improves the sectional comparison
     recs = [_oracle_record(Params(1, 1), 3, 1.0, 0.49, "sectional_hh_radial", nested_step=step)
             for step in (4e-3, 2e-3)]
     errs = [abs(r.numeric - r.closed_form) for r in recs]
     ratio = errs[0] / max(errs[1], 1e-300)
-    out.append(
-        CheckResult(
-            "fd_step_halving",
-            "pass" if ratio >= 2.0 else "fail",
-            ratio,
-            f"errors {errs[0]:.3e} -> {errs[1]:.3e}",
-        )
-    )
+    out.append(_result("fd_step_halving", ratio, ok=ratio >= 2.0, detail=f"errors {errs[0]:.3e} -> {errs[1]:.3e}"))
     return out
 
 
@@ -660,33 +647,18 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
 INTERVAL_END_TOL = 1e-9  # each end of scalar_positivity_interval against its exact value
 
 
-def _upper_end_check(
-    name: str,
-    n: int,
-    c_hi: float,
-    exact: float,
-    exact_label: str,
-    quoted: str,
-    c_quoted: float,
-    tol: float,
-) -> CheckResult:
+def _upper_end_check(name: str, n: int, c_hi: float, exact: float, exact_label: str, quoted: str,
+                     c_quoted: float) -> CheckResult:
     """Computed upper end against its exact value; the oracle rules on the quoted bound.
 
     `c_quoted` lies inside the interval that the quoted bound claims, so a
     negative oracle scalar curvature there refutes the quoted bound.
     """
-    rec = _oracle_record(Params(1, 1), n, c_quoted, 0.3)
-    err = abs(c_hi - exact)
-    refuted = rec.ok and rec.numeric < 0
-    return CheckResult(
-        name,
-        "pass" if err <= tol and refuted else "fail",
-        float(err),
-        f"c_hi={c_hi:.6f}, exact {exact_label}, tol={tol:g}; quoted {quoted}: oracle scalar "
-        f"at c={c_quoted:g}, t=0.3 is {rec.numeric:.4f} (closed form {rec.closed_form:.4f}, "
-        f"rel err {rec.rel_err:.1e})",
-        float(tol),
-    )
+    rec, tol = _oracle_record(Params(1, 1), n, c_quoted, 0.3), INTERVAL_END_TOL
+    return _result(name, abs(c_hi - exact), tol, ok=rec.ok and rec.numeric < 0,
+                   detail=f"c_hi={c_hi:.6f}, exact {exact_label}, tol={tol:g}; quoted {quoted}: oracle scalar "
+                   f"at c={c_quoted:g}, t=0.3 is {rec.numeric:.4f} (closed form {rec.closed_form:.4f}, "
+                   f"rel err {rec.rel_err:.1e})")
 
 
 def suite_interval(seed: int = 0) -> list[CheckResult]:
@@ -700,24 +672,14 @@ def suite_interval(seed: int = 0) -> list[CheckResult]:
     tol = INTERVAL_END_TOL
     lo2, hi2 = rg.scalar_positivity_interval(Params(1, 1), 2)
     lo3, hi3 = rg.scalar_positivity_interval(Params(1, 1), 3)
-    out.append(_check("interval_h11_n2_lower", abs(lo2), tol, f"c_lo={lo2:.2e}"))
-    out.append(
-        _upper_end_check("interval_h11_n2_upper_reported", 2, hi2, 4.0, "4", "C_2 >= 40", 39.0, tol)
-    )
-    out.append(_check_bool("interval_h11_n3_lower", lo3 < 0, f"c_lo={lo3:.6f}"))
-    out.append(
-        _upper_end_check(
-            "interval_h11_n3_upper_reported", 3, hi3, 3 + math.sqrt(11), "3+sqrt(11)", "C_3 > 60", 60.0, tol
-        )
-    )
+    out.append(_result("interval_h11_n2_lower", abs(lo2), tol, detail=f"c_lo={lo2:.2e}"))
+    out.append(_upper_end_check("interval_h11_n2_upper_reported", 2, hi2, 4.0, "4", "C_2 >= 40", 39.0))
+    out.append(_result("interval_h11_n3_lower", ok=lo3 < 0, detail=f"c_lo={lo3:.6f}"))
+    out.append(_upper_end_check("interval_h11_n3_upper_reported", 3, hi3, 3 + math.sqrt(11), "3+sqrt(11)",
+                                "C_3 > 60", 60.0))
     lo10, hi10 = rg.scalar_positivity_interval(Params(1, 0), 2)
-    out.append(
-        _check_bool(
-            "interval_h10_n2_contains_0_4",
-            lo10 <= tol and hi10 >= 4 - tol,
-            f"interval ({lo10:.6f}, {hi10:.6f})",
-        )
-    )
+    out.append(_result("interval_h10_n2_contains_0_4", ok=lo10 <= tol and hi10 >= 4 - tol,
+                       detail=f"interval ({lo10:.6f}, {hi10:.6f})"))
     return out
 
 

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import importlib.util
@@ -107,6 +108,8 @@ USAGE_ERRORS = [
     (("find-params", "--n", "2", "--c", "1/0"), "zero denominator"),
     (("scan", "--p-range=0:1:1/0", "--q-range=0:1:1", "--n", "2", "--predicate", "gamma", "--csv", "x.csv"),
      "zero denominator"),
+    (("scan", "--p-range=0:1:0", "--q-range=0:1:1", "--n", "2", "--predicate", "gamma", "--csv", "x.csv"),
+     "--p-range: step must be positive"),
     (("find-params", "--n", "3", "--c", "1e400"), "outside the float range"),
     (("curvature", "--p", "1", "--q", "1", "--n", "3", "--c", "1", "--samples=-1"), "--samples must be >= 0"),
     (("verify", "--tol-scale", "1"), "unrecognized arguments: --tol-scale"),
@@ -118,7 +121,7 @@ USAGE_ERRORS = [
 
 
 @pytest.mark.parametrize("argv, message", USAGE_ERRORS,
-                         ids=["zero_denominator", "zero_denominator_in_range", "past_float_range",
+                         ids=["zero_denominator", "zero_denominator_in_range", "zero_step", "past_float_range",
                               "negative_samples", "removed_flag", "negative_seed", "samples_past_the_limit"])
 def test_usage_errors_exit_2(argv, message, capsys):
     # argparse exits 2 from inside main; the other usage errors return 2
@@ -685,6 +688,15 @@ class TestVerifyCommand:
         record = CheckResult("c", "pass", 1e-3, "d", extra={"headroom": 1.5, "worst": "w"}).as_dict()
         assert list(record) == ["name", "status", "max_err", "headroom", "worst", "detail"]
 
+    def test_checks_are_built_in_one_place(self):
+        # every check of cgm.verify goes through its one constructor, _result
+        text = Path(verify.__file__).read_text()
+        tree = ast.parse(text)
+        calls = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and ast.unparse(node.func) == "CheckResult"]
+        result = next(f for f in tree.body if getattr(f, "name", "") == "_result")
+        assert text.count("CheckResult(") == len(calls) == 1 and result.lineno <= calls[0] <= result.end_lineno
+
     def test_forced_failure_exit_1(self, capsys, monkeypatch):
         monkeypatch.setitem(verify.SUITES, "identities", lambda seed: [CheckResult("forced", "fail", 1.0, tol=0.5)])
         code, out, _ = run_cli(capsys, "verify", "--suite", "identities")
@@ -705,9 +717,9 @@ class TestVerifyCommand:
         assert re.fullmatch(r"verify: identities 10 checks in \d+\.\d s\n", err)
 
     def test_deterministic_output(self, capsys):
-        _, out1, _ = run_cli(capsys, "verify", "--suite", "identities", "--seed", "7")
-        _, out2, _ = run_cli(capsys, "verify", "--suite", "identities", "--seed", "7")
-        assert out1 == out2
+        code1, out1, _ = run_cli(capsys, "verify", "--suite", "identities", "--seed", "7")
+        code2, out2, _ = run_cli(capsys, "verify", "--suite", "identities", "--seed", "7")
+        assert (code1, code2) == (0, 0) and out1 == out2
 
 
 def test_console_entry_point():

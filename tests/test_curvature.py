@@ -358,6 +358,15 @@ class TestAssembledTensor:
             )
             assert_allclose(trace, scalar(params, n, e, base), rtol=1e-10)
 
+    def test_frame_at_the_zero_section_is_orthonormal(self):
+        # at t = 0 the frame is the coordinate basis, lifted horizontally and vertically
+        for n in (2, 3):
+            e = FiberPoint.zero(n)
+            for params in (Params(1, 1), Params(2.5, -0.7)):
+                frame = tangent_frame(params, e)
+                gram = [[metric_h(params, e, F, G) for G in frame] for F in frame]
+                assert len(frame) == 2 * n and np.array_equal(gram, np.eye(2 * n))
+
 
 def test_symmetry_suite_draw_order_digest():
     # The seven checks after the batched curvature loop of suite_symmetries

@@ -106,7 +106,7 @@ NONFINITE_C_ENTRIES = {
 @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan], ids=["inf", "minus_inf", "nan"])
 @pytest.mark.parametrize("entry", list(NONFINITE_C_ENTRIES))
 def test_nonfinite_c_is_refused_naming_it(entry, c):
-    # find_params_general passes its c_used on: -inf from a = -inf, nan from a = nan
+    # find_params_general refuses its a = -inf or nan, naming it
     named = str(-abs(c)) if entry == "find_params_general" else str(c)
     with pytest.raises(ValueError, match=rf"^{re.escape(named)} has no exact value"):
         NONFINITE_C_ENTRIES[entry](c)
@@ -149,6 +149,19 @@ def test_scalar_bounds_past_the_float_range_are_refused_naming_them():
     for a, b, name in ((-10**400, 0, "a"), (0, 10**400, "b")):
         with pytest.raises(ValueError, match=rf"^{name} is outside the float range$"):
             rg.find_params_general(3, a, b)
+
+
+@pytest.mark.parametrize("a, b, named", [
+    (0, math.nan, "nan has no exact value: a finite b"),
+    (math.inf, 0, "inf has no exact value: a finite a"),
+    (math.nan, 0, "nan has no exact value: a finite a"),
+    (-math.inf, 0, "-inf has no exact value: a finite a"),
+    (0, math.inf, "inf has no exact value: a finite b"),
+], ids=["b_nan", "a_inf", "a_nan", "a_minus_inf", "b_inf"])
+def test_nonfinite_scalar_bounds_are_refused_naming_them(a, b, named):
+    # before any arithmetic: min(0.0, nan) is 0.0, and a = inf gave c_used = -1 with a certificate for it
+    with pytest.raises(ValueError, match=rf"^{re.escape(named)} is required$"):
+        rg.find_params_general(3, a, b)
 
 
 @pytest.mark.parametrize("argv, first_row", [
