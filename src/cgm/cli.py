@@ -210,7 +210,7 @@ def cmd_curvature(args) -> int:
     t = np.linspace(0.0, t_max, args.samples)
     with np.errstate(all="ignore"):  # at the edge of the float range the rows read inf and nan
         fam = radial_planes(params, c, t)
-        k_vv_min = np.minimum(fam.vv_through, fam.vv_perp) if n >= 3 else fam.vv_through
+        k_vv_min = fam.vertical_min(n)
         s = scalar_curvature_spaceform(params, n, c, t)
     lines = ["t,K_hh_max_e,K_hv_max_e,K_vv_min,K_vv_U,scalar"]
     for i in range(t.size):

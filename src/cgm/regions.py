@@ -18,9 +18,9 @@ q == float(tau): a tie, left to the per-cell rule :func:`cell_value`, as are
 the sufficient cases' regions, whose windows depend on q.
 
 The sampled minima :func:`vertical_curvature_minimum` and
-:func:`sectional_witness_min` evaluate the plane families on the certificate
-grid plus the sign probes of P and Q; they are diagnostics, and `verify`
-decides the region checks exactly instead.
+:func:`sectional_witness_min` evaluate the vertical plane families on the
+certificate grid alone, and the horizontal family by its exact infimum; they are
+diagnostics, and `verify` decides the region checks exactly instead.
 
 The end of the fibre, T = :func:`cgm.scalars.fibre_end`, sets the radius grid:
 one shared read-only log grid for T = inf, mapped onto [0, T) for finite T.
@@ -58,8 +58,6 @@ from .scalars import (
     omega,
     poly_C,
     poly_G,
-    poly_P,
-    poly_Q,
     scalar_curvature_spaceform,
     scalar_parts,
     weights_AB,
@@ -427,6 +425,10 @@ class RadialPlanes(NamedTuple):
     vv_through: np.ndarray
     vv_perp: np.ndarray
 
+    def vertical_min(self, n: int) -> np.ndarray:
+        """The least vertical curvature at each radius: ``vv_through`` for n = 2, else the lesser family."""
+        return np.minimum(self.vv_through, self.vv_perp) if n >= 3 else self.vv_through
+
 
 def radial_planes(params: Params, c: float, t: np.ndarray) -> RadialPlanes:
     """The radial plane families over a curvature-c space form, at radii t."""
@@ -437,71 +439,36 @@ def radial_planes(params: Params, c: float, t: np.ndarray) -> RadialPlanes:
                         lift * (A * t + B) / (1.0 + float(params.q) * t), lift * B)
 
 
-def _quadratic_sign_probes(coeffs: tuple, t_hi: float) -> list:
-    """Radii hitting every sign region of c0 + c1 t + c2 t^2 on [0, t_hi]."""
-    c0, c1, c2 = coeffs
-    roots = []
-    if c2 != 0:
-        disc = c1 * c1 - 4 * c0 * c2
-        if disc >= 0:
-            roots = sorted(((-c1 - math.sqrt(disc)) / (2 * c2), (-c1 + math.sqrt(disc)) / (2 * c2)))
-    elif c1 != 0:
-        roots = [-c0 / c1]
-    probes = []
-    for r in roots:
-        probes += [r / 2, 2 * r + 1.0]
-    if len(roots) == 2:
-        probes.append(0.5 * (roots[0] + roots[1]))
-        probes.append(0.5 * (roots[1] + t_hi))
-    return [t for t in probes if 0 < t <= t_hi and math.isfinite(t)]
-
-
-def _witness_radii(params: Params) -> np.ndarray:
-    """The radii of the sampled minima: the certificate grid :func:`_t_grid`, the critical point
-    1/(p - 1) of f and one probe in every sign region of P and Q.  Where the fibre is unbounded
-    (T = inf) the critical point and the probes are not clipped to the grid."""
-    p, t_hi = float(params.p), fibre_end(params) * (1 - 2e-9)
-    extra = [1.0 / (p - 1.0)] if p > 1 else []
-    for poly in (poly_P(params), poly_Q(params)):
-        extra += _quadratic_sign_probes(poly.as_floats(), t_hi)
-    return np.concatenate([_t_grid(params), [t for t in extra if t <= t_hi]])
-
-
 def vertical_curvature_minimum(params: Params, n: int) -> float:
-    """Minimum sectional curvature of vertical 2-planes at the radii of :func:`_witness_radii`.
+    """Minimum sectional curvature of vertical 2-planes on the certificate grid :func:`_t_grid`.
 
     A vertical plane at radius t has curvature (1+t)^p (A u + B)/(1 + q u),
     where u in [0, t] is the squared length of the fibre point's projection
     onto it (u = t for every plane when n = 2).  Its u-derivative is
     C / (omega_q (1 + q u)^2) with C of fixed sign, so the minimum over the
-    planes at t is at u = 0 or u = t, the families ``vv_perp`` and
-    ``vv_through`` of :func:`radial_planes`, and no plane between them is needed.
+    planes at t is at u = 0 or u = t, :meth:`RadialPlanes.vertical_min`.
     """
-    fam = radial_planes(params, 0.0, _witness_radii(params))
-    return float(min(fam.vv_through.min(), fam.vv_perp.min() if n >= 3 else math.inf))
+    return float(radial_planes(params, 0.0, _t_grid(params)).vertical_min(n).min())
 
 
 def sectional_witness_min(params: Params, n: int, c: Number) -> float:
-    """Minimum sectional curvature over the lifted-plane families at the radii of :func:`_witness_radii`.
+    """Minimum sectional curvature over the lifted-plane families: exact for horizontal and
+    vertizontal planes, on the certificate grid :func:`_t_grid` for vertical ones.
 
     The families are those of :func:`radial_planes`.  They bound every lifted
     plane spanned by an orthonormal base pair (X, Y), which is the scope of the
     K >= 0 characterization: with u = <X,e>^2 + <Y,e>^2 <= t, a horizontal
-    plane has c - (3/4) c^2 u/(1+t)^p >= the u = t value, a vertizontal plane a
-    nonnegative value (0 at t = 0), and a vertical plane lies between its u = 0
-    and u = t values, since d/du (A u + B)/(1 + q u) = C / (omega_q (1 + q u)^2)
-    has a fixed sign.  Fully general 2-planes of the total space can be negative
-    even where every lifted plane is nonnegative (e.g. (p,q)=(1.108,0), n=2, c=1
-    near the zero section, confirmed by finite differences); they are not probed.
+    plane has c - (3/4) c^2 u/(1+t)^p >= the u = t value, whose infimum is
+    c - (3/4) c^2 :func:`f_sup`, a vertizontal plane a nonnegative value (0 at
+    t = 0), and a vertical plane lies between its u = 0 and u = t values
+    (:func:`vertical_curvature_minimum`).  Fully general 2-planes of the total
+    space can be negative even where every lifted plane is nonnegative (e.g.
+    (p,q)=(1.108,0), n=2, c=1 near the zero section, confirmed by finite
+    differences); they are not probed.
     """
-    q, cf = float(params.q), float_in_range(c, "c")
-    fam = radial_planes(params, cf, _witness_radii(params))
-    mins = [fam.hh.min(), fam.hv.min(), fam.vv_through.min()]
-    # the infimum of the horizontal family over an unbounded radius range is analytic
-    if q >= 0 and cf != 0:
-        mins.append(cf - 0.75 * cf * cf * f_sup(params))
-    low = min(mins)  # min is a left fold, so min(low, x) is min(mins + [x])
-    return float(low) if n < 3 else float(min(low, fam.vv_perp.min()))
+    cf = float_in_range(c, "c")
+    horizontal = cf - 0.75 * cf * cf * f_sup(params) if cf != 0 else 0.0
+    return float(min(0.0, horizontal, vertical_curvature_minimum(params, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -376,8 +376,9 @@ def _sign_holds(coefficients: tuple, q: int | float | Fraction, strict: bool) ->
 
 def _exact_vertical(params: Params, n: int, strict: bool = True) -> bool:
     """Whether every vertical plane has K > 0 (K >= 0 unless strict), from the signs of P and (n >= 3) Q:
-    at radius t the planes lie between (1+t)^p (A t + B)/(1 + q t) and (1+t)^p B
-    (:func:`regions.vertical_curvature_minimum`), and A t + B = w^2 w_q P(t), B = w^2 w_q Q(t).  With
+    at radius t the planes lie between the fibre's radial and tangential curvatures (1+t)^(p-2) (1+qt)^-2 P(t)
+    and (1+t)^(p-2) (1+qt)^-1 Q(t), those of a(r)^2 dr^2 + b(r)^2 g_S, a = (1+t)^(-p/2) (1+qt)^(1/2),
+    b = (1+t)^(-p/2) r, t = r^2 (proved in the tests from a and b).  With
     p = a/d and q = b/d, P d^2 and Q d^2 (:func:`scalars.pq_coefficients`) are integral."""
     (a, da), (b, db) = params.p.as_integer_ratio(), params.q.as_integer_ratio()
     polys = pq_coefficients(a * db, b * da, da * db)

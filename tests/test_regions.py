@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.util
 import json
@@ -13,7 +14,10 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from cgm.curvature import BaseCurvature, FiberPoint, LiftVector, sectional_plane
-from cgm.scalars import DomainError, Params, hyperbola_lambda, hyperbola_nu, mu, poly_G, poly_P, poly_Q
+from cgm import regions
+from cgm.scalars import (
+    DomainError, Params, hyperbola_lambda, hyperbola_nu, mu, poly_G, poly_P, poly_Q, pq_coefficients,
+)
 from cgm.verify import (
     DELTA_C, _exact_nonneg, _exact_vertical, _oracle_record, _sign_holds, delta_grid_verdicts, suite_regions,
 )
@@ -218,6 +222,38 @@ class TestNonnegSectional:
         # vertical planes orthogonal to e turn negative only beyond it
         assert not nonneg_sectional(Params(2.00026, 0), 3, 1)
         assert sectional_witness_min(Params(2.00026, 0), 3, 1) < -1e-9
+
+
+class TestFibreAsRotationallySymmetric:
+    """On a fibre, with r = |e| and t = r^2, h is a(r)^2 dr^2 + b(r)^2 g_S, a = (1+t)^(-p/2) (1+qt)^(1/2) and
+    b = (1+t)^(-p/2) r: its radial curvature -(ab)^-1 d/dr(b'/a) and tangential curvature (1 - (b'/a)^2)/b^2
+    are the families vv_through and vv_perp."""
+
+    def test_curvatures_from_a_and_b_are_the_closed_forms(self):
+        sp = pytest.importorskip("sympy")
+        p, q = sp.symbols("p q", real=True)
+        r = sp.symbols("r", positive=True)
+        t, L = r * r, sp.Function("L")(r)  # L = (1+t)^(-p/2), so L' = -p r L/(1+t) and L^2 (1+t)^p = 1
+        dL = -p * r * L / (1 + t)
+        assert sp.diff((1 + t) ** (-p / 2), r) * (1 + t) / (1 + t) ** (-p / 2) == -p * r
+        a, b = L * sp.sqrt(1 + q * t), L * r
+        rules = {sp.Derivative(L, (r, 2)): sp.diff(dL, r).subs(sp.Derivative(L, r), dL), sp.Derivative(L, r): dL}
+        slope = sp.diff(b, r) / a  # b'/a
+        k_rad = (-sp.diff(slope, r) / (a * b)).subs(rules)
+        k_tan = ((1 - slope**2) / b**2).subs(rules)
+        P, Q = (sum(coef * t**k for k, coef in enumerate(poly)) for poly in pq_coefficients(p, q))
+        assert sp.cancel(k_rad * L**2 * (1 + t) ** 2 - P / (1 + q * t) ** 2) == 0  # (1+t)^(p-2) (1+qt)^-2 P
+        assert sp.cancel(k_tan * L**2 * (1 + t) ** 2 - Q / (1 + q * t)) == 0  # (1+t)^(p-2) (1+qt)^-1 Q
+        # b'/a = (1 + (1-p) t)/((1+t) sqrt(1+qt)), and 1 - (b'/a)^2 has the sign of Q
+        assert sp.cancel(slope.subs(rules) * (1 + t) * sp.sqrt(1 + q * t) - (1 + (1 - p) * t)) == 0
+        assert sp.expand((1 + t) ** 2 * (1 + q * t) - (1 + (1 - p) * t) ** 2 - t * Q) == 0
+        # the families, from weights_AB's A and B, are these curvatures to rounding
+        closed = sp.lambdify((p, q, r), [k.subs(L, (1 + t) ** (-p / 2)) for k in (k_rad, k_tan)], "math")
+        rng = np.random.default_rng(12)
+        for pv, qv, u in rng.uniform((-4, -4, 0), (4, 4, 1), (30, 3)):
+            tv = 3 * u if qv >= 0 else -0.99 * u / qv
+            fam = radial_planes(Params(pv, qv), 0.0, np.array([tv]))
+            assert_allclose([fam.vv_through[0], fam.vv_perp[0]], closed(pv, qv, math.sqrt(tv)), rtol=1e-11)
 
 
 class TestEndpointBounds:
@@ -633,6 +669,7 @@ class TestRadiusGrid:
             assert grid[1] <= 1e-8 and 1e-7 <= 1 + q * grid[-1] < 2e-6
         assert len(_t_grid(Params(1, -1))) == 10000 and len(_t_grid(Params(1, -1e-14))) == 19998
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("q", [-5e-324, -1e-310])
     def test_denormal_negative_q_reads_the_unbounded_grid(self, q):
         # -1/q overflows: T = inf, so the q >= 0 grid; nothing raises, and (2, q) has the (2, 0) interval
@@ -640,9 +677,27 @@ class TestRadiusGrid:
         assert _t_grid(params) is _GRID_UNBOUNDED
         for n in (2, 3):
             assert scalar_positivity_interval(params, n) == scalar_positivity_interval(Params(2, 0), n)
-            with np.errstate(over="ignore", invalid="ignore"):  # the probes of Q reach t ~ 1e161
-                vertical_curvature_minimum(params, n), sectional_witness_min(params, n, 1)
+            vertical_curvature_minimum(params, n), sectional_witness_min(params, n, 1)
             assert scalar_grid_min(params, n, 1)[0] > 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("q", [-5e-324, -1e-310])
+    def test_denormal_negative_q_minima_agree_with_the_exact_rules(self, q):
+        # on the q >= 0 grid that T = inf gives, n = 2: Gamma' and Delta'_c hold, and the minima read
+        # P(0) = 4 > 0 and 0 (a vertizontal plane at t = 0), with no overflow on the way
+        params = Params(2, q)
+        assert vertical_positivity(params, 2) and vertical_curvature_minimum(params, 2) > 0
+        for c in (0, 1):
+            assert nonneg_sectional(params, 2, c) and sectional_witness_min(params, 2, c) == 0
+
+    def test_sampled_minima_read_the_one_grid(self):
+        # every plane-family and scalar-curvature evaluation of the module takes _t_grid(params) as
+        # its radii, so no private radius set reaches past the certificate grid
+        tree = ast.parse(Path(regions.__file__).read_text())
+        evaluations = ("radial_planes", "scalar_curvature_spaceform", "scalar_parts")
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and ast.unparse(node.func) in evaluations]
+        assert {ast.unparse(node.func) for node in calls} == set(evaluations)
+        assert all(ast.unparse(node.args[-1]) == "_t_grid(params)" for node in calls), [ast.unparse(n) for n in calls]
 
     def test_unbounded_grid_is_shared_and_read_only(self):
         grid = _t_grid(Params(1, 0))
@@ -730,9 +785,9 @@ def test_classify_record_digest():
 def test_plane_family_minima_digest():
     # sha256 of repr of the vertical minimum and the lifted-plane witness
     # minimum at 200 seeded points (every fifth on q = 0, every seventh on
-    # p + q = 1), n = 2 and 3; recorded when the q < 0 certificate grid became
-    # the log grid mapped onto [0, T) (246 of the 800 values moved, by at most
-    # 2e-6 relative, none across 0)
+    # p + q = 1), n = 2 and 3; recorded when both minima came to read the
+    # certificate grid alone and the witness the exact horizontal infimum for
+    # every q (13 of the 800 values moved, all witness values, none across -1e-9)
     rng = np.random.default_rng(23)
     h = hashlib.sha256()
     for k in range(200):
@@ -742,7 +797,7 @@ def test_plane_family_minima_digest():
         for n in (2, 3):
             pair = (vertical_curvature_minimum(params, n), sectional_witness_min(params, n, c))
             h.update(f"{p!r},{q!r},{n},{pair!r}\n".encode())
-    assert h.hexdigest() == "3c9a85c66817458738b963932033d6fbdb0d251a0a815d315391e496239f45f9"
+    assert h.hexdigest() == "91b445a96db440aaccc628c97f89b774435b1fe0e5134a1eb599366ca0687d5f"
 
 
 @pytest.mark.parametrize("p_axis, q_axis", [
